@@ -1,0 +1,19 @@
+//! Records the compiler version and code-generation flags the benchmark
+//! was built with, for the machine stamp every run prints.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(&rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    let flags = std::env::var("CARGO_ENCODED_RUSTFLAGS").unwrap_or_default().replace('\x1f', " ");
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_RUSTFLAGS={flags}");
+    println!("cargo:rerun-if-env-changed=CARGO_ENCODED_RUSTFLAGS");
+    println!("cargo:rerun-if-changed=build.rs");
+}
