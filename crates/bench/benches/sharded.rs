@@ -3,11 +3,12 @@
 //!
 //! One cell = one k = 16 sharded survey (u128 keys) over uniform d = 2
 //! points at n = 10⁵ and 10⁶, across shard sizes from aggressive
-//! (16384 rows/shard) to lazy (262144), with `inmem` (shard-rows 0,
-//! the buffer-everything engine) as the reference row.  d = 2 keeps the
+//! (16384 rows/shard) to lazy (262144), with `inmem` (shard-rows 0: the
+//! whole database as one shard) as the reference row.  d = 2 keeps the
 //! distinct count far below n, so the runs show the streaming trade
-//! honestly: the counter's working set is one shard of keys plus one
-//! `(key, count)` run per distinct permutation, instead of all n keys.
+//! honestly: the counter's working set is one shard of keys plus a
+//! frontier summary of one key and one `u64` occupancy per distinct
+//! permutation, instead of all n keys.
 //!
 //! The `peak_kib_*` rows encode the measured high-water working set of
 //! a [`ShardedCounter`] drive over the same keys — reported through the
@@ -31,7 +32,8 @@ const K: usize = 16;
 const SHARDS: [usize; 3] = [16_384, 65_536, 262_144];
 
 /// High-water working set of the streaming counter in KiB: the shard
-/// key buffer plus the peak merge frontier of `(key, count)` runs.
+/// key buffer plus the peak frontier summary, priced at one `u128` key
+/// and one `u64` occupancy per distinct permutation.
 fn peak_working_set_kib(keys: &[u128], shard_rows: usize) -> u64 {
     let mut counter = ShardedCounter::<u128>::new(K, shard_rows);
     for &key in keys {
@@ -39,7 +41,8 @@ fn peak_working_set_kib(keys: &[u128], shard_rows: usize) -> u64 {
     }
     counter.flush();
     let buffered = shard_rows.min(keys.len()) * std::mem::size_of::<u128>();
-    let frontier = counter.peak_frontier_entries() * std::mem::size_of::<(u128, u64)>();
+    let entry_bytes = std::mem::size_of::<u128>() + std::mem::size_of::<u64>();
+    let frontier = counter.peak_frontier_entries() * entry_bytes;
     ((buffered + frontier) / 1024) as u64
 }
 

@@ -42,10 +42,10 @@ where
     CountOutcome { report, site_ids, prefix_distinct }
 }
 
-/// Vector databases run through the flat batched engine (streaming
-/// sharded when `shard_rows > 0` — identical report, bounded memory);
-/// the optional prefix count reuses the generic per-point path over row
-/// views.
+/// Vector databases run through the flat batched engine (its packed
+/// collector's shard bounded by `shard_rows`, 0 = one shard per worker —
+/// identical report either way); the optional prefix count reuses the
+/// generic per-point path over row views.
 fn measure_flat<M>(
     metric: &M,
     data: &VectorSet,

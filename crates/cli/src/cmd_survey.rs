@@ -81,8 +81,8 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
             // Vector databases are already stored flat, so the survey
             // runs straight through the batched engine — same report,
             // bit for bit, as the generic per-point path, whether the
-            // per-k counting buffers in memory (--shard-rows 0) or
-            // streams bounded shards (--shard-rows > 0).
+            // per-k counting finalizes one shard per worker
+            // (--shard-rows 0) or bounded shards (--shard-rows > 0).
             match metric {
                 VectorMetricSpec::L1 => {
                     survey_database_flat_sharded(&L1, data, &cfg, threads, shard_rows)

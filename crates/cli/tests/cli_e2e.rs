@@ -443,6 +443,51 @@ fn sharded_survey_output_is_byte_identical_to_in_memory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `args` with `--shard-rows 0` and with a shard size far beyond
+/// any database, on a fresh 3000-point file: the oversized shard is the
+/// one-shard-per-worker configuration, so it must exit 0 (no up-front
+/// reservation of 10¹² keys) and print exactly the in-memory text.
+fn assert_oversized_shard_matches_in_memory(tag: &str, args: &[&str]) {
+    let dir = temp_dir(tag);
+    let file = dir.join("h.vec");
+    let f = file.to_str().unwrap();
+    stdout(&distperm(&[
+        "generate", "--kind", "uniform", "--n", "3000", "--dim", "3", "--seed", "43", "--out", f,
+    ]));
+    let run = |shard_rows: &str| {
+        let mut argv = vec![args[0], "--vectors", f];
+        argv.extend_from_slice(&args[1..]);
+        argv.extend_from_slice(&["--shard-rows", shard_rows]);
+        distperm(&argv)
+    };
+    let in_memory = stdout(&run("0"));
+    let oversized = run("1000000000000");
+    assert_eq!(
+        oversized.status.code(),
+        Some(0),
+        "{tag}: --shard-rows 1000000000000 failed\nstderr: {}",
+        String::from_utf8_lossy(&oversized.stderr)
+    );
+    assert_eq!(stdout(&oversized), in_memory, "{tag}: oversized shard changed the text");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn count_with_oversized_shard_rows_matches_in_memory() {
+    assert_oversized_shard_matches_in_memory(
+        "shard_huge_count",
+        &["count", "--k", "8", "--seed", "5", "--threads", "2"],
+    );
+}
+
+#[test]
+fn survey_with_oversized_shard_rows_matches_in_memory() {
+    assert_oversized_shard_matches_in_memory(
+        "shard_huge_survey",
+        &["survey", "--ks", "4,8,16", "--rho-pairs", "2000", "--threads", "2"],
+    );
+}
+
 #[test]
 fn shard_rows_rejects_malformed_values_with_usage_error() {
     let dir = temp_dir("shard_usage");

@@ -4,14 +4,16 @@
 //!
 //! * the generic per-point path ([`count_permutations`]) for any metric
 //!   over any point type (strings, trees, sparse vectors, …);
-//! * the flat batched path ([`count_permutations_flat`]) for real-vector
-//!   data in [`VectorSet`] storage — site-transposed, 4-wide strip-mined
-//!   distance kernels feeding the width-generic packed sorted-run
-//!   counter (LSD radix sort over the `5k` significant key bits,
-//!   run-length scan; the parallel variant radix-sorts per-chunk key
-//!   buffers in the workers and merges the sorted runs), identical
-//!   results, several times the throughput.  This is the engine behind
-//!   the Table 3 protocol in [`crate::experiments`].
+//! * the flat batched path ([`count_permutations_flat_sharded`]) for
+//!   real-vector data in [`VectorSet`] storage — site-transposed, 4-wide
+//!   strip-mined distance kernels feeding one packed collector,
+//!   [`dp_permutation::ShardedCounter`] per worker (LSD radix sort over
+//!   the `5k` significant key bits, run-length scan, summaries merged
+//!   across shards and workers), identical results, several times the
+//!   throughput.  This is the engine behind the Table 3 protocol in
+//!   [`crate::experiments`].  [`count_permutations_flat`] and
+//!   [`count_permutations_flat_parallel`] are the same engine with
+//!   `shard_rows = 0`.
 //!
 //! The flat path dispatches once per workload over the packed-key width
 //! ([`CountEngine::for_k`]): `u64` keys for k ≤ 12, `u128` keys for
@@ -21,8 +23,7 @@
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 use dp_permutation::compute::{
-    collect_counter_flat, collect_counter_flat_parallel, collect_packed_flat,
-    collect_packed_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
+    collect_counter_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
 };
 use dp_permutation::counter::collect_counter;
 use dp_permutation::{DistPermComputer, PackedCountSummary, PackedKey, PermutationCounter};
@@ -152,16 +153,16 @@ where
 /// # Panics
 /// Panics if the site and database dimensions disagree (when both are
 /// non-empty).
-pub fn count_permutations_flat<M: BatchDistance>(
+pub fn count_permutations_flat<M: BatchDistance + Sync>(
     metric: &M,
     sites: &VectorSet,
     database: &VectorSet,
 ) -> CountReport {
-    flat_counter(metric, sites, database)
+    count_permutations_flat_sharded(metric, sites, database, 1, 0)
 }
 
 /// Parallel [`count_permutations_flat`]: splits the database rows across
-/// `threads` scoped workers and merges the per-chunk counters.
+/// `threads` scoped workers and merges the per-worker summaries.
 /// Deterministic — the report is independent of the split.
 pub fn count_permutations_flat_parallel<M: BatchDistance + Sync>(
     metric: &M,
@@ -169,26 +170,16 @@ pub fn count_permutations_flat_parallel<M: BatchDistance + Sync>(
     database: &VectorSet,
     threads: usize,
 ) -> CountReport {
-    check_flat_dims(sites, database);
-    let sites_t = transpose_sites(sites, database);
-    let flat = database.as_flat();
-    dp_permutation::for_packed_k!(
-        sites.len(),
-        K => {
-            let counter = collect_packed_flat_parallel::<K, _>(metric, &sites_t, flat, threads);
-            CountReport::from(&counter.finalize())
-        },
-        _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
-    )
+    count_permutations_flat_sharded(metric, sites, database, threads, 0)
 }
 
-/// [`count_permutations_flat_parallel`] with bounded memory: packed
-/// keys stream through a [`dp_permutation::ShardedCounter`] per worker
-/// (each holding at most `shard_rows` keys plus the distinct-run
-/// frontier) instead of buffering all n keys before the sort.
-/// `shard_rows = 0` means "in-memory" and delegates to the buffering
-/// engine.  The report is bit-identical either way — sharding changes
-/// the working set, never the counts.
+/// [`count_permutations_flat_parallel`] with a shard size: each worker
+/// streams its packed keys through a [`dp_permutation::ShardedCounter`]
+/// whose shard is `shard_rows` keys, capped at the rows the worker
+/// scans; `shard_rows = 0` means one shard per worker.  The report is
+/// bit-identical for every `shard_rows` — sharding changes the working
+/// set, never the counts (see [`dp_permutation::shard`] for when a
+/// smaller shard actually saves memory).
 ///
 /// Beyond [`WIDE_MAX_K`] there is no packed key to shard on, so the
 /// hash engine runs regardless of `shard_rows` (its working set is
@@ -200,36 +191,15 @@ pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     threads: usize,
     shard_rows: usize,
 ) -> CountReport {
-    if shard_rows == 0 {
-        return count_permutations_flat_parallel(metric, sites, database, threads);
-    }
     check_flat_dims(sites, database);
     let sites_t = transpose_sites(sites, database);
     let flat = database.as_flat();
     dp_permutation::for_packed_k!(
         sites.len(),
-        K => {
-            let summary =
-                collect_sharded_flat_parallel::<K, _>(metric, &sites_t, flat, threads, shard_rows);
-            CountReport::from(&summary)
-        },
+        K => CountReport::from(&collect_sharded_flat_parallel::<K, _>(
+            metric, &sites_t, flat, threads, shard_rows,
+        )),
         _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
-    )
-}
-
-fn flat_counter<M: BatchDistance>(
-    metric: &M,
-    sites: &VectorSet,
-    database: &VectorSet,
-) -> CountReport {
-    check_flat_dims(sites, database);
-    let sites_t = transpose_sites(sites, database);
-    dp_permutation::for_packed_k!(
-        sites.len(),
-        K => CountReport::from(
-            &collect_packed_flat::<K, _>(metric, &sites_t, database.as_flat()).finalize(),
-        ),
-        _ => CountReport::from(&collect_counter_flat(metric, &sites_t, database.as_flat())),
     )
 }
 

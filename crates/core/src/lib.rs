@@ -40,16 +40,18 @@
 //! are bit-for-bit equal (enforced by the workspace property suites),
 //! so callers may pick purely on storage layout.
 //!
-//! The flat engines additionally come in a **streaming** flavour with
-//! bounded memory: [`count_permutations_flat_sharded`] and
-//! [`survey_flat::survey_database_flat_sharded`] stream packed keys
-//! through fixed-size shards (at most `shard_rows` buffered keys plus
-//! one `(key, count)` run per distinct permutation) instead of
-//! buffering every key before the sort.  `shard_rows = 0` means
-//! in-memory; any other value changes the working set, never the
-//! report — sharded output is bit-identical, floats included, which the
-//! root `sharded_equivalence` suite enforces.  On the command line this
-//! is `distperm count/survey --shard-rows <n>`.
+//! The flat engines count through one packed collector,
+//! [`dp_permutation::ShardedCounter`]: each worker finalizes its packed
+//! keys in shards and merges the shard summaries, and the per-worker
+//! summaries merge the same way.  [`count_permutations_flat_sharded`]
+//! and [`survey_flat::survey_database_flat_sharded`] expose the shard
+//! size; `shard_rows = 0` (what the `_flat` and `_flat_parallel` forms
+//! pass) is one shard per worker, and a smaller value bounds the
+//! buffered keys when distinct permutations are much rarer than points.
+//! Any value changes the working set, never the report — output is
+//! bit-identical, floats included, which the root
+//! `sharded_equivalence` suite enforces.  On the command line this is
+//! `distperm count/survey --shard-rows <n>`.
 
 #![forbid(unsafe_code)]
 

@@ -5,42 +5,32 @@
 //! protocol specialised to [`VectorSet`] storage: ρ sampling runs over
 //! row views with the identical pair stream, and every per-k counting
 //! pass runs through the site-transposed, 4-wide strip-mined
-//! [`BatchDistance`] kernels with
-//! the branchless k²/2 ranking — width-generic packed sort+scan
-//! counting (`u64` keys for k ≤ [`PACKED_MAX_K`], `u128` keys for
-//! k ≤ [`WIDE_MAX_K`]), the hash counter beyond.  Distances, counts,
-//! frequency tables and therefore **every field of the returned
+//! [`BatchDistance`] kernels with the branchless k²/2 ranking into the
+//! one packed collector, a [`dp_permutation::ShardedCounter`] per worker
+//! (`u64` keys for k ≤ [`dp_permutation::PACKED_MAX_K`], `u128` keys for
+//! k ≤ [`dp_permutation::WIDE_MAX_K`]), the hash counter beyond.
+//! Distances, counts, frequency tables and therefore **every field of the returned
 //! [`DatabaseSurvey`] are bit-for-bit identical** to the generic
 //! per-point path; the workspace property suite
 //! (`tests/survey_equivalence.rs`) enforces that, and the
 //! `survey` bench records the speedup (`BENCH_survey.json`).
 //!
-//! [`survey_database_flat_parallel`] splits each counting scan across
-//! crossbeam-scoped workers; merged counts are independent of the
-//! split, so the report is also identical at any thread count.
+//! [`survey_database_flat_sharded`] splits each counting scan across
+//! crossbeam-scoped workers and bounds each worker's shard; merged
+//! counts are independent of the split and the shard size, so the
+//! report is also identical at any thread count and any `shard_rows`.
+//! [`survey_database_flat`] and [`survey_database_flat_parallel`] are
+//! the same engine with `shard_rows = 0` (one shard per worker).
 
 use crate::count::CountReport;
 use crate::survey::{
     build_ksurvey, counter_freqs, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig,
 };
 use dp_datasets::VectorSet;
-use dp_metric::{BatchDistance, TransposedSites};
-use dp_permutation::compute::{
-    collect_counter_flat_parallel, collect_packed_flat_parallel, collect_sharded_flat_parallel,
-    PACKED_MAX_K, WIDE_MAX_K,
-};
-use dp_permutation::{PackedKey, RadixSorter};
+use dp_metric::BatchDistance;
+use dp_permutation::compute::{collect_counter_flat_parallel, collect_sharded_flat_parallel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Radix scratch buffers at both key widths.  One pair serves every
-/// per-k finalize and codebook-order sort in a survey, so a k sweep
-/// crossing the u64/u128 seam reallocates nothing per k.
-#[derive(Debug, Default)]
-struct FlatSurveySorters {
-    narrow: RadixSorter<u64>,
-    wide: RadixSorter<u128>,
-}
 
 /// [`crate::survey::survey_database`] over flat vector storage: ρ plus
 /// per-k permutation counts and storage costs through the batched
@@ -54,7 +44,7 @@ pub fn survey_database_flat<M: BatchDistance + Sync>(
     database: &VectorSet,
     config: &SurveyConfig,
 ) -> DatabaseSurvey {
-    survey_database_flat_parallel(metric, database, config, 1)
+    survey_database_flat_sharded(metric, database, config, 1, 0)
 }
 
 /// Parallel [`survey_database_flat`]: each per-k counting scan is split
@@ -69,15 +59,14 @@ pub fn survey_database_flat_parallel<M: BatchDistance + Sync>(
     survey_database_flat_sharded(metric, database, config, threads, 0)
 }
 
-/// [`survey_database_flat_parallel`] with bounded counting memory: for
-/// `shard_rows > 0`, every packed per-k scan streams through
-/// [`dp_permutation::ShardedCounter`]s holding at most `shard_rows`
-/// keys each plus the distinct-run frontier, instead of buffering all
-/// n keys per k.  `shard_rows = 0` is the in-memory engine.  The survey
-/// is **bit-identical** either way — counts, codebook sizes and the
-/// floating-point Huffman/entropy sums all derive from the same
-/// distinct-key/occupancy table, which sharding reproduces exactly
-/// (`tests/sharded_equivalence.rs` pins every field).
+/// [`survey_database_flat_parallel`] with a shard size: every packed
+/// per-k scan streams through one [`dp_permutation::ShardedCounter`]
+/// per worker, its shard `shard_rows` keys capped at the rows the
+/// worker scans (`shard_rows = 0`: one shard per worker).  The survey is
+/// **bit-identical** for every `shard_rows` — counts, codebook sizes and
+/// the floating-point Huffman/entropy sums all derive from the same
+/// distinct-key/occupancy table, which every shard size reproduces
+/// exactly (`tests/sharded_equivalence.rs` pins every field).
 pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
@@ -93,21 +82,11 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
         config.seed ^ 0x9E37_79B9,
     );
     let mut per_k = Vec::with_capacity(config.ks.len());
-    let mut sorters = FlatSurveySorters::default();
     for (i, &k) in config.ks.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
         let site_ids = dp_datasets::vectors::choose_distinct_indices(database.len(), k, &mut rng);
         let sites = database.gather(&site_ids);
-        per_k.push(survey_one_k(
-            metric,
-            database,
-            &sites,
-            k,
-            site_ids,
-            threads,
-            shard_rows,
-            &mut sorters,
-        ));
+        per_k.push(survey_one_k(metric, database, &sites, k, site_ids, threads, shard_rows));
     }
     let dimension_estimate = dimension_estimate(&per_k, config);
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
@@ -115,12 +94,12 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
 
 /// One per-k measurement through the flat engine.  For k within a
 /// packed range (either key width) the distinct/occupancy scan is the
-/// radix-sorted-run counter and the frequency table comes from
+/// sharded packed collector and the frequency table comes from
 /// [`dp_permutation::PackedCountSummary::lexicographic_counts`], which
 /// matches the generic path's codebook order exactly without decoding a
-/// single permutation; beyond [`WIDE_MAX_K`] the hash counter feeds the
-/// same sorted-count frequency table the generic path uses.
-#[allow(clippy::too_many_arguments)]
+/// single permutation; beyond [`dp_permutation::WIDE_MAX_K`] the hash
+/// counter feeds the same sorted-count frequency table the generic path
+/// uses.
 fn survey_one_k<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
@@ -129,62 +108,22 @@ fn survey_one_k<M: BatchDistance + Sync>(
     site_ids: Vec<usize>,
     threads: usize,
     shard_rows: usize,
-    sorters: &mut FlatSurveySorters,
 ) -> KSurvey {
     crate::count::check_flat_dims(sites, database);
     let sites_t = crate::count::transpose_sites(sites, database);
-    if k <= PACKED_MAX_K {
-        survey_one_k_packed::<u64, M>(
-            metric,
-            database,
-            &sites_t,
-            k,
-            site_ids,
-            threads,
-            shard_rows,
-            &mut sorters.narrow,
-        )
-    } else if k <= WIDE_MAX_K {
-        survey_one_k_packed::<u128, M>(
-            metric,
-            database,
-            &sites_t,
-            k,
-            site_ids,
-            threads,
-            shard_rows,
-            &mut sorters.wide,
-        )
-    } else {
-        let counter = collect_counter_flat_parallel(metric, &sites_t, database.as_flat(), threads);
-        let report = CountReport::from(&counter);
-        build_ksurvey(k, site_ids, report, &counter_freqs(&counter))
-    }
-}
-
-/// The packed arm of [`survey_one_k`], monomorphized per key width so
-/// the per-row loops carry no width branch.  `shard_rows > 0` selects
-/// the streaming sharded collector (which owns its bounded scratch);
-/// 0 the buffering collector finalized through the shared sorter.
-#[allow(clippy::too_many_arguments)]
-fn survey_one_k_packed<K: PackedKey, M: BatchDistance + Sync>(
-    metric: &M,
-    database: &VectorSet,
-    sites_t: &TransposedSites,
-    k: usize,
-    site_ids: Vec<usize>,
-    threads: usize,
-    shard_rows: usize,
-    sorter: &mut RadixSorter<K>,
-) -> KSurvey {
     let flat = database.as_flat();
-    let summary = if shard_rows > 0 {
-        collect_sharded_flat_parallel::<K, M>(metric, sites_t, flat, threads, shard_rows)
-    } else {
-        collect_packed_flat_parallel::<K, M>(metric, sites_t, flat, threads).finalize_with(sorter)
-    };
-    let report = CountReport::from(&summary);
-    build_ksurvey(k, site_ids, report, &summary.lexicographic_counts())
+    dp_permutation::for_packed_k!(
+        k,
+        K => {
+            let summary =
+                collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows);
+            build_ksurvey(k, site_ids, CountReport::from(&summary), &summary.lexicographic_counts())
+        },
+        _ => {
+            let counter = collect_counter_flat_parallel(metric, &sites_t, flat, threads);
+            build_ksurvey(k, site_ids, CountReport::from(&counter), &counter_freqs(&counter))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use crate::counter::{PackedCountSummary, PackedPermutationCounter, PermutationCounter};
 use crate::key::PackedKey;
 use crate::perm::{Permutation, MAX_K};
-use crate::shard::{merge_counted_run_sets, ShardedCounter};
+use crate::shard::ShardedCounter;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 
 /// Computes the distance permutation of `query` with respect to `sites`.
@@ -128,35 +128,19 @@ pub fn database_permutations_flat<M: BatchDistance>(
     out
 }
 
-/// Parallel [`database_permutations_flat`] over crossbeam-style scoped
-/// threads.  Deterministic: the output is independent of `threads`.
+/// Parallel [`database_permutations_flat`] over contiguous row chunks on
+/// `threads` scoped workers.  Deterministic: the output is independent
+/// of `threads`.
 pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
     threads: usize,
 ) -> Vec<Permutation> {
-    let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return database_permutations_flat(metric, sites, db_rows);
-    }
-    let rows_per = n.div_ceil(threads);
-    let mut perms = vec![Permutation::identity(0); n];
-    crossbeam::thread::scope(|scope| {
-        for (rows, slots) in db_rows.chunks(rows_per * dim).zip(perms.chunks_mut(rows_per)) {
-            scope.spawn(move |_| {
-                let mut slot = slots.iter_mut();
-                flat_scan(metric, sites, rows, |p| {
-                    *slot.next().expect("chunk sizes agree") = p;
-                });
-            });
-        }
+    map_row_chunks(db_rows, sites.dim(), threads, |rows| {
+        database_permutations_flat(metric, sites, rows)
     })
-    .expect("flat permutation scope");
-    perms
+    .concat()
 }
 
 /// Counts permutation occurrences over a flat database — the batched
@@ -172,39 +156,67 @@ pub fn collect_counter_flat<M: BatchDistance>(
     counter
 }
 
-/// Parallel [`collect_counter_flat`]: splits the rows across `threads`
-/// crossbeam-scoped workers and merges the per-chunk counters.
-/// Deterministic — the merged counts are independent of the split.
+/// Parallel [`collect_counter_flat`]: one counter per row chunk on
+/// `threads` scoped workers, merged.  Deterministic — the merged counts
+/// are independent of the split.
 pub fn collect_counter_flat_parallel<M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
     threads: usize,
 ) -> PermutationCounter {
-    let dim = sites.dim().max(1);
+    let mut parts = map_row_chunks(db_rows, sites.dim(), threads, |rows| {
+        collect_counter_flat(metric, sites, rows)
+    })
+    .into_iter();
+    let mut merged = parts.next().expect("map_row_chunks yields at least one chunk");
+    for part in parts {
+        merged.merge(&part);
+    }
+    merged
+}
+
+/// Databases below this many rows are scanned on the calling thread:
+/// spawning workers costs more than the scan.
+const PARALLEL_MIN_ROWS: usize = 1024;
+
+/// The one scoped-thread row split behind every parallel flat scan:
+/// cuts the row-major `db_rows` into at most `threads` contiguous
+/// chunks of whole rows, runs `work` on each chunk on its own scoped
+/// worker, and returns the results in row order.  Databases of fewer
+/// than [`PARALLEL_MIN_ROWS`] rows, or `threads <= 1`, run as one chunk
+/// on the calling thread — so the result always has at least one
+/// element.
+///
+/// # Panics
+/// Panics if `db_rows` is not a whole number of rows; re-raises a
+/// worker's panic.
+pub(crate) fn map_row_chunks<T: Send>(
+    db_rows: &[f64],
+    dim: usize,
+    threads: usize,
+    work: impl Fn(&[f64]) -> T + Sync,
+) -> Vec<T> {
+    let dim = dim.max(1);
     assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
     let n = db_rows.len() / dim;
     let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return collect_counter_flat(metric, sites, db_rows);
+    if threads <= 1 || n < PARALLEL_MIN_ROWS {
+        return vec![work(db_rows)];
     }
     let rows_per = n.div_ceil(threads);
-    let mut counters: Vec<PermutationCounter> = Vec::new();
+    let work = &work;
     crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = db_rows
-            .chunks(rows_per * dim)
-            .map(|rows| scope.spawn(move |_| collect_counter_flat(metric, sites, rows)))
-            .collect();
-        for h in handles {
-            counters.push(h.join().expect("flat counting worker panicked"));
-        }
+        let handles: Vec<_> =
+            db_rows.chunks(rows_per * dim).map(|rows| scope.spawn(move |_| work(rows))).collect();
+        // A worker's panic resumes here with its own payload, so callers
+        // see the same message as on the serial path.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
-    .expect("flat counting scope");
-    let mut merged = PermutationCounter::new();
-    for c in &counters {
-        merged.merge(c);
-    }
-    merged
+    .expect("flat scan scope")
 }
 
 /// Largest k whose permutations pack into a u64 key (5 bits per
@@ -408,16 +420,19 @@ fn rank_rows(block_dists: &[f64], k: usize, mut emit: impl FnMut(&[u8; MAX_K])) 
     }
 }
 
-/// Shared block driver for the flat kernels: computes batched distances
-/// and hands each row's rank vector (`ranks[site] = position`) to `emit`.
-fn flat_scan_ranks<M: BatchDistance>(
+/// The one blocked distance loop under every flat kernel: checks the
+/// shapes, computes batched distances [`FLAT_BLOCK_ROWS`] rows at a
+/// time, rejects any NaN, and hands each block's `rows × k` row-major
+/// distance buffer to `each_block`.  Returns the row count; with
+/// `k == 0` no distance is computed and the caller emits the empty
+/// permutation per row itself.
+fn for_each_distance_block<M: BatchDistance>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
-    mut emit: impl FnMut(&[u8; MAX_K], usize),
-) {
+    mut each_block: impl FnMut(&[f64]),
+) -> usize {
     let k = sites.k();
-    assert!(k <= MAX_K, "k = {k} exceeds MAX_K = {MAX_K}");
     let dim = sites.dim();
     // Zero-dim flat storage cannot represent a non-empty database (n
     // rows of width 0 are 0 floats) — row count would be unrecoverable.
@@ -428,21 +443,36 @@ fn flat_scan_ranks<M: BatchDistance>(
     );
     let dim = dim.max(1);
     assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    if k == 0 {
-        let ranks = &[0u8; MAX_K];
-        for _ in 0..db_rows.len() / dim {
-            emit(ranks, 0);
+    if k > 0 {
+        let mut dists = vec![0.0f64; FLAT_BLOCK_ROWS * k];
+        for block in db_rows.chunks(FLAT_BLOCK_ROWS * dim) {
+            let block_dists = &mut dists[..block.len() / dim * k];
+            metric.batch_distances(block, sites, block_dists);
+            let any_nan = block_dists.iter().fold(false, |acc, &d| acc | d.is_nan());
+            assert!(!any_nan, "distance must not be NaN");
+            each_block(block_dists);
         }
-        return;
     }
-    let mut dists = vec![0.0f64; FLAT_BLOCK_ROWS * k];
-    for block in db_rows.chunks(FLAT_BLOCK_ROWS * dim) {
-        let rows_in_block = block.len() / dim;
-        let block_dists = &mut dists[..rows_in_block * k];
-        metric.batch_distances(block, sites, block_dists);
-        let any_nan = block_dists.iter().fold(false, |acc, &d| acc | d.is_nan());
-        assert!(!any_nan, "distance must not be NaN");
-        rank_rows(block_dists, k, |ranks| emit(ranks, k));
+    db_rows.len() / dim
+}
+
+/// Block scan for the permutation kernels: hands each row's
+/// distance permutation to `emit`, in row order.
+fn flat_scan<M: BatchDistance>(
+    metric: &M,
+    sites: &TransposedSites,
+    db_rows: &[f64],
+    mut emit: impl FnMut(Permutation),
+) {
+    let k = sites.k();
+    assert!(k <= MAX_K, "k = {k} exceeds MAX_K = {MAX_K}");
+    let rows = for_each_distance_block(metric, sites, db_rows, |block| {
+        rank_rows(block, k, |ranks| emit(permutation_from_ranks(ranks, k)));
+    });
+    if k == 0 {
+        for _ in 0..rows {
+            emit(Permutation::identity(0));
+        }
     }
 }
 
@@ -578,9 +608,9 @@ fn rank_rows_keys<K: PackedKey>(block_dists: &[f64], k: usize, mut emit: impl Fn
     }
 }
 
-/// Block driver for the packed-key kernels: computes batched distances
-/// and hands each row's fused packed key to `emit` — [`flat_scan_ranks`]
-/// with the ranking and packing phases fused per tile.
+/// Block scan for the packed-key kernels: hands each row's fused
+/// packed key to `emit`, in row order — [`flat_scan`] with the
+/// ranking and packing phases fused per tile.
 fn flat_scan_keys<K: PackedKey, M: BatchDistance>(
     metric: &M,
     sites: &TransposedSites,
@@ -589,38 +619,14 @@ fn flat_scan_keys<K: PackedKey, M: BatchDistance>(
 ) {
     let k = sites.k();
     assert!(k <= K::MAX_K, "k = {k} exceeds MAX_K = {} for {}-bit packed keys", K::MAX_K, K::BITS);
-    let dim = sites.dim();
-    assert!(
-        dim > 0 || db_rows.is_empty(),
-        "sites declare dim 0 but the database has coordinates; build the \
-         TransposedSites with the database's dimension"
-    );
-    let dim = dim.max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
+    let rows = for_each_distance_block(metric, sites, db_rows, |block| {
+        rank_rows_keys(block, k, &mut emit);
+    });
     if k == 0 {
-        for _ in 0..db_rows.len() / dim {
+        for _ in 0..rows {
             emit(K::ZERO);
         }
-        return;
     }
-    let mut dists = vec![0.0f64; FLAT_BLOCK_ROWS * k];
-    for block in db_rows.chunks(FLAT_BLOCK_ROWS * dim) {
-        let rows_in_block = block.len() / dim;
-        let block_dists = &mut dists[..rows_in_block * k];
-        metric.batch_distances(block, sites, block_dists);
-        let any_nan = block_dists.iter().fold(false, |acc, &d| acc | d.is_nan());
-        assert!(!any_nan, "distance must not be NaN");
-        rank_rows_keys(block_dists, k, &mut emit);
-    }
-}
-
-fn flat_scan<M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    mut emit: impl FnMut(Permutation),
-) {
-    flat_scan_ranks(metric, sites, db_rows, |ranks, k| emit(permutation_from_ranks(ranks, k)));
 }
 
 /// Computes the packed permutation key of every row — the
@@ -675,13 +681,15 @@ pub fn collect_packed_flat<K: PackedKey, M: BatchDistance>(
     PackedPermutationCounter::from_keys(sites.k(), packed_keys_flat(metric, sites, db_rows))
 }
 
-/// Parallel [`collect_packed_flat`]: splits the rows across `threads`
-/// crossbeam-scoped workers, radix-sorts each per-chunk key buffer
-/// inside its worker, and merges the **sorted** runs — so the returned
-/// counter's later `finalize` hits the sorted fast path instead of
-/// re-sorting from scratch.  Deterministic: the finalized summary is
-/// independent of the split (a merge of sorted chunk multisets is the
-/// sorted multiset of the concatenation).
+/// Parallel [`collect_packed_flat`]: each of `threads` scoped workers
+/// computes its row chunk's keys, and the buffers are concatenated in row
+/// order, unsorted — the returned counter's `finalize` sorts them all at
+/// once.
+///
+/// A diagnostic, not a production path: it holds all n keys, which
+/// lets a caller time key collection and the one big sort as separate
+/// phases.  Counting and surveys run [`collect_sharded_flat_parallel`],
+/// whose summary is identical.
 ///
 /// # Panics
 /// Panics if `sites.k() > K::MAX_K`.
@@ -691,73 +699,27 @@ pub fn collect_packed_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     db_rows: &[f64],
     threads: usize,
 ) -> PackedPermutationCounter<K> {
-    assert!(
-        sites.k() <= K::MAX_K,
-        "k = {} exceeds MAX_K = {} for {}-bit packed keys",
-        sites.k(),
-        K::MAX_K,
-        K::BITS
-    );
-    let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return collect_packed_flat(metric, sites, db_rows);
-    }
-    let rows_per = n.div_ceil(threads);
-    let mut runs: Vec<Vec<K>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = db_rows
-            .chunks(rows_per * dim)
-            .map(|rows| {
-                scope.spawn(move |_| {
-                    let mut counter = collect_packed_flat::<K, M>(metric, sites, rows);
-                    counter.sort_keys(&mut crate::radix::RadixSorter::new());
-                    counter.into_keys()
-                })
-            })
-            .collect();
-        for h in handles {
-            runs.push(h.join().expect("flat counting worker panicked"));
-        }
-    })
-    .expect("flat counting scope");
-    PackedPermutationCounter::from_keys(sites.k(), merge_sorted_runs(runs))
+    let parts = map_row_chunks(db_rows, sites.dim(), threads, |rows| {
+        packed_keys_flat::<K, M>(metric, sites, rows)
+    });
+    PackedPermutationCounter::from_keys(sites.k(), parts.concat())
 }
 
-/// Streaming sharded counting over a flat database: the summary is
-/// identical to [`collect_packed_flat`] + finalize, but the working set
-/// never holds all n keys — at most `shard_rows` buffered keys (plus
-/// equal sort scratch) and one `(key, count)` frontier entry per
-/// distinct permutation (see [`ShardedCounter`]).  The block driver
-/// feeds fused rank+pack tiles straight into the counter, so the
-/// distance and ranking phases are untouched.
+/// Counts permutation occurrences over a flat database into a
+/// [`PackedCountSummary`] — the packed counting path behind `count` and
+/// `survey`.
+///
+/// Each of `threads` scoped workers streams its row chunk's fused
+/// rank+pack keys through its own [`ShardedCounter`], and the
+/// per-worker summaries are merged in row order.  Each worker's shard is capped at the rows it
+/// scans: `shard_rows = 0` — and any `shard_rows` at or above that
+/// count — finalizes each worker's keys as one shard, while a smaller
+/// value bounds the buffered keys (see the [`crate::shard`] memory
+/// contract).  The summary is independent of `threads` and
+/// `shard_rows`, bit for bit.
 ///
 /// # Panics
-/// Panics if `sites.k() > K::MAX_K` or `shard_rows` is 0 (callers treat
-/// 0 as "in-memory" and must dispatch before reaching this).
-pub fn collect_sharded_flat<K: PackedKey, M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    shard_rows: usize,
-) -> PackedCountSummary<K> {
-    let mut counter = ShardedCounter::new(sites.k(), shard_rows);
-    flat_scan_keys(metric, sites, db_rows, |key| counter.insert_key(key));
-    counter.finalize()
-}
-
-/// Parallel [`collect_sharded_flat`]: each of `threads` scoped workers
-/// streams its row range through its own [`ShardedCounter`] (each
-/// bounded by `shard_rows`), and the per-worker frontiers — already
-/// sorted `(key, count)` runs — merge pairwise with counts summed.
-/// Deterministic and identical to the sequential path: the merged run
-/// set is the run-length scan of the full multiset regardless of the
-/// split.
-///
-/// # Panics
-/// Panics if `sites.k() > K::MAX_K` or `shard_rows` is 0.
+/// Panics if `sites.k() > K::MAX_K`.
 pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
@@ -765,66 +727,21 @@ pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     threads: usize,
     shard_rows: usize,
 ) -> PackedCountSummary<K> {
+    let k = sites.k();
     let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return collect_sharded_flat(metric, sites, db_rows, shard_rows);
-    }
-    let rows_per = n.div_ceil(threads);
-    let mut runs: Vec<Vec<(K, u64)>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = db_rows
-            .chunks(rows_per * dim)
-            .map(|rows| {
-                scope.spawn(move |_| {
-                    let mut counter = ShardedCounter::<K>::new(sites.k(), shard_rows);
-                    flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
-                    counter.into_runs()
-                })
-            })
-            .collect();
-        for h in handles {
-            runs.push(h.join().expect("sharded counting worker panicked"));
-        }
+    let mut parts = map_row_chunks(db_rows, dim, threads, |rows| {
+        let rows_here = rows.len() / dim;
+        let cap = if shard_rows == 0 { rows_here } else { shard_rows.min(rows_here) };
+        let mut counter = ShardedCounter::<K>::new(k, cap.max(1));
+        flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
+        counter.finalize()
     })
-    .expect("sharded counting scope");
-    PackedCountSummary::from_counted_runs(sites.k(), merge_counted_run_sets(runs))
-}
-
-/// Merges sorted runs pairwise until one remains — `O(n log t)` for `t`
-/// runs, each round a cache-friendly linear two-way merge.
-fn merge_sorted_runs<K: PackedKey>(mut runs: Vec<Vec<K>>) -> Vec<K> {
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
+    .into_iter();
+    let mut summary = parts.next().expect("map_row_chunks yields at least one chunk");
+    for part in parts {
+        summary.merge(part);
     }
-    runs.pop().unwrap_or_default()
-}
-
-fn merge_two<K: PackedKey>(a: &[K], b: &[K]) -> Vec<K> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    summary
 }
 
 #[cfg(test)]
@@ -1050,19 +967,16 @@ mod tests {
         let db = weyl_rows(n, dim, 51);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 52), dim);
         let expected = collect_packed_flat::<u64, _>(&L2Squared, &sites_t, &db).finalize();
-        for shard_rows in [1usize, 1000, n, n + 1] {
-            let sharded = collect_sharded_flat::<u64, _>(&L2Squared, &sites_t, &db, shard_rows);
-            assert_eq!(sharded.distinct(), expected.distinct(), "shard_rows = {shard_rows}");
-            assert_eq!(sharded.total(), expected.total());
-            assert_eq!(sharded.lexicographic_counts(), expected.lexicographic_counts());
-            assert_eq!(sharded.permutations(), expected.permutations());
-            for threads in [2, 4] {
+        for shard_rows in [0usize, 1, 1000, n, n + 1] {
+            for threads in [1, 2, 4] {
                 let par = collect_sharded_flat_parallel::<u64, _>(
                     &L2Squared, &sites_t, &db, threads, shard_rows,
                 );
-                assert_eq!(par.distinct(), expected.distinct(), "threads = {threads}");
-                assert_eq!(par.lexicographic_counts(), expected.lexicographic_counts());
-                assert_eq!(par.permutations(), expected.permutations());
+                let tag = format!("shard_rows = {shard_rows}, threads = {threads}");
+                assert_eq!(par.distinct(), expected.distinct(), "{tag}");
+                assert_eq!(par.total(), expected.total(), "{tag}");
+                assert_eq!(par.lexicographic_counts(), expected.lexicographic_counts(), "{tag}");
+                assert_eq!(par.permutations(), expected.permutations(), "{tag}");
             }
         }
     }

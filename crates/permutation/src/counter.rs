@@ -15,11 +15,12 @@
 //!   the buffer once and [`count_sorted_runs`] turns the sorted runs
 //!   into occupancies.  No hashing anywhere on the hot path.
 //!
-//! Either way the result is a [`PackedCountSummary`], which keeps one
-//! `(key, occupancy)` pair per **distinct** permutation — O(distinct)
-//! memory, so downstream consumers (codebooks, Huffman, the survey)
-//! never pay for n again.  [`crate::shard::ShardedCounter`] produces
-//! the same summary without ever buffering all n keys.
+//! The packed result is a [`PackedCountSummary`]: the distinct keys in
+//! ascending order plus one `u64` occupancy each — O(distinct) memory,
+//! so downstream consumers (codebooks, Huffman, the survey) never pay
+//! for n again.  Production counting reaches it through
+//! [`crate::shard::ShardedCounter`], which finalizes bounded shards
+//! with this counter and merges their summaries.
 //!
 //! [`finalize`]: PackedPermutationCounter::finalize
 
@@ -236,16 +237,16 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
     }
 
     /// [`Self::finalize`] through a caller-owned [`RadixSorter`], so
-    /// repeated finalizes (the per-k survey loop) share one scratch
-    /// buffer instead of reallocating.
+    /// repeated finalizes (every shard of a
+    /// [`crate::shard::ShardedCounter`]) share one scratch buffer instead
+    /// of reallocating.
     pub fn finalize_with(mut self, sorter: &mut RadixSorter<K>) -> PackedCountSummary<K> {
         sorter.sort_keys(&mut self.keys, K::key_bits(self.k));
         let total = self.keys.len() as u64;
         let occupancies = count_sorted_runs(&self.keys);
         // Compact the sorted buffer to its run starts in place: the
         // summary keeps one key per *distinct* permutation, never the
-        // n-key observation buffer (the streaming sharded path builds
-        // the same representation without ever materialising n keys).
+        // observation buffer.
         let mut pos = 0usize;
         for (i, &occ) in occupancies.iter().enumerate() {
             self.keys[i] = self.keys[pos];
@@ -256,8 +257,8 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
         PackedCountSummary { k: self.k, keys: self.keys, occupancies, total }
     }
 
-    /// Wraps an already-collected key buffer (the batched scans build the
-    /// buffer directly and only then enter counter land).
+    /// Wraps an already-collected key buffer — a [`crate::shard`] shard,
+    /// or the whole key buffer of a batched scan.
     ///
     /// # Panics
     /// Panics if `k` exceeds the key width's capacity.
@@ -266,20 +267,6 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
         c.keys = keys;
         c
     }
-
-    /// The raw key buffer, consumed (sorted only if the collector sorted
-    /// it — [`Self::finalize`] handles either state).
-    pub(crate) fn into_keys(self) -> Vec<K> {
-        self.keys
-    }
-
-    /// Radix-sorts the key buffer in place now, so a later
-    /// [`Self::finalize`] hits the sorted fast path — the parallel
-    /// collectors sort per-chunk buffers inside their workers and merge
-    /// the sorted runs.
-    pub(crate) fn sort_keys(&mut self, sorter: &mut RadixSorter<K>) {
-        sorter.sort_keys(&mut self.keys, K::key_bits(self.k));
-    }
 }
 
 /// Finalized statistics of a [`PackedPermutationCounter`].
@@ -287,29 +274,22 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
 /// Holds one key per **distinct** permutation (ascending key order, which
 /// the [`pack_perm`] layout makes lexicographic order) plus its occupancy
 /// count and the observation total — `O(distinct)` memory, independent of
-/// the database size.  Both counting engines end here: the in-memory
-/// sort + run-scan ([`PackedPermutationCounter::finalize`]) and the
-/// bounded-memory streaming merge ([`crate::shard::ShardedCounter`])
-/// produce identical summaries by construction.
+/// the database size.  [`PackedPermutationCounter::finalize`] builds one
+/// from a key buffer; [`crate::shard::ShardedCounter`] builds one per
+/// shard that way and merges them into its frontier, which is itself a
+/// summary — identical, by construction, to finalizing every key at once.
 #[derive(Debug, Clone)]
 pub struct PackedCountSummary<K: PackedKey = u64> {
-    k: usize,
-    keys: Vec<K>,
-    occupancies: Vec<u64>,
-    total: u64,
+    pub(crate) k: usize,
+    /// Distinct keys, strictly ascending.
+    pub(crate) keys: Vec<K>,
+    /// `occupancies[i]` ≥ 1 observations of `keys[i]`.
+    pub(crate) occupancies: Vec<u64>,
+    /// The sum of `occupancies`.
+    pub(crate) total: u64,
 }
 
 impl<K: PackedKey> PackedCountSummary<K> {
-    /// Builds a summary directly from ascending `(key, count)` runs —
-    /// the streaming sharded counter's hand-off; no n-key buffer ever
-    /// exists on that path.
-    pub(crate) fn from_counted_runs(k: usize, runs: Vec<(K, u64)>) -> Self {
-        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs must be strictly ascending");
-        let total = runs.iter().map(|&(_, c)| c).sum();
-        let (keys, occupancies) = runs.into_iter().unzip();
-        Self { k, keys, occupancies, total }
-    }
-
     /// Number of distinct permutations observed.
     pub fn distinct(&self) -> usize {
         self.occupancies.len()

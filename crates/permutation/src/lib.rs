@@ -28,24 +28,23 @@
 //!    barely-wide workload costs nothing;
 //! 3. [`counter::count_sorted_runs`] collapses the sorted runs into
 //!    occupancies ([`counter::PackedPermutationCounter`] /
-//!    [`counter::PackedCountSummary`] — the summary stores one
-//!    `(key, count)` pair per *distinct* permutation, never all n keys);
+//!    [`counter::PackedCountSummary`] — the summary stores the distinct
+//!    keys plus one `u64` occupancy each, never all n keys);
 //! 4. [`encoding::PackedCodebook`] / [`encoding::FlatCodebook`] assign
 //!    lexicographic codebook ids straight off the sorted distinct keys —
 //!    no hash table anywhere.
 //!
-//! When the whole key buffer should not be held at once, [`shard`]
-//! streams the same pipeline through bounded shards:
-//! [`ShardedCounter`] buffers at most `shard_rows` keys, radix-sorts
-//! each full shard with reused scratch, and merges it as sorted
-//! run-lengths into a frontier holding one `(key, count)` entry per
-//! distinct permutation seen so far.  Because merging sorted multiset
-//! runs is associative, the finalized summary — and everything
-//! downstream of it, including the float Huffman/entropy sums — is
-//! bit-identical to the buffer-everything engine
-//! ([`compute::collect_sharded_flat`] /
-//! [`compute::collect_sharded_flat_parallel`]; `distperm count/survey
-//! --shard-rows` on the command line).
+//! Production counting runs steps 2–3 through one collector,
+//! [`ShardedCounter`] ([`shard`]): it finalizes shards of at most
+//! `shard_rows` keys and merges each shard's summary into a frontier
+//! summary.  [`compute::collect_sharded_flat_parallel`] gives every
+//! worker its own counter, its shard capped at the rows it scans, and
+//! merges the worker summaries with the same merge — so one shard per
+//! worker (`shard_rows = 0`, the default) and bounded shards
+//! (`distperm count/survey --shard-rows`) are one code path.  Merging
+//! sorted multiset summaries is associative, so the finalized summary —
+//! and everything downstream of it, including the float Huffman/entropy
+//! sums — is bit-identical to finalizing every key at once.
 //!
 //! The hash path ([`counter::PermutationCounter`]) survives as the
 //! reference oracle for arbitrary k and as the fallback for k > 25; the
@@ -98,9 +97,9 @@ pub mod store;
 
 pub use compute::{
     collect_counter_flat, collect_counter_flat_parallel, collect_packed_flat,
-    collect_packed_flat_parallel, collect_sharded_flat, collect_sharded_flat_parallel,
-    database_permutations_flat, database_permutations_flat_parallel, distance_permutation,
-    packed_keys_flat, DistPermComputer, PACKED_MAX_K, WIDE_MAX_K,
+    collect_packed_flat_parallel, collect_sharded_flat_parallel, database_permutations_flat,
+    database_permutations_flat_parallel, distance_permutation, packed_keys_flat, DistPermComputer,
+    PACKED_MAX_K, WIDE_MAX_K,
 };
 pub use counter::{
     count_sorted_runs, pack_perm, PackedCountSummary, PackedPermutationCounter, PermutationCounter,

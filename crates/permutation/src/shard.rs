@@ -1,63 +1,73 @@
-//! Streaming sharded counting: distinct-permutation counts without ever
-//! holding n keys.
+//! The packed counting collector: packed permutation keys in, a
+//! [`PackedCountSummary`] out, through shards of bounded size.
 //!
-//! The in-memory pipeline ([`crate::counter::PackedPermutationCounter`])
-//! buffers every observation's packed key and sorts once — `O(n)` memory,
-//! which caps the reachable database size long before the arithmetic
-//! does.  [`ShardedCounter`] replaces the buffer with a fixed-size
-//! **shard**: inserts append to a `shard_rows`-key block, and each full
-//! block is radix-sorted (scratch reused across shards) and run-length
-//! merged into a sorted `(key, count)` **frontier**.  The frontier is the
-//! summary under construction — one entry per distinct permutation seen
-//! so far, ascending key order — so [`ShardedCounter::finalize`] just
-//! wraps it in a [`PackedCountSummary`].
+//! [`ShardedCounter`] is the only packed collector behind `count` and
+//! `survey`.  Inserts append to a shard of at most `shard_rows` keys.
+//! Each full shard is finalized like an in-memory count —
+//! [`PackedPermutationCounter::finalize_with`] radix-sorts it (scratch
+//! reused across shards) and compacts it in place to distinct keys plus
+//! occupancies — and merged into the **frontier**, the summary of
+//! everything flushed so far.  One summary merge
+//! (`PackedCountSummary::merge`) serves shard → frontier here and
+//! worker → worker in [`crate::compute::collect_sharded_flat_parallel`].
 //!
-//! Memory is bounded by `shard_rows` keys of sort buffer + scratch plus
-//! one `(key, count)` pair per **distinct** permutation (twice that,
-//! transiently, while a shard merges).  Since the paper's whole point is
-//! that distinct ≪ n ("about 10 database points per permutation", §5),
-//! the frontier is the small side of the ledger and n drops out of the
-//! footprint entirely.
+//! ## Memory contract
 //!
-//! Equivalence with the in-memory engine is exact, not approximate: a
-//! run-length merge of per-shard sorted multisets is the run-length scan
-//! of the sorted concatenation, so the finalized summary — distinct keys,
-//! occupancies, total, and every float derived from them downstream — is
-//! bit-for-bit the one [`PackedPermutationCounter::finalize`] produces
-//! (`tests/sharded_equivalence.rs` pins this across shard sizes, widths
-//! and thread counts).
+//! A counter holds one shard of at most `shard_rows` keys (plus equal
+//! radix scratch and one `u64` per distinct shard key while it is
+//! finalized) and a frontier of one key plus one `u64` occupancy per
+//! **distinct** permutation seen so far — 24 B at `u128`, 16 B at
+//! `u64`.  A merge grows the frontier in place by the incoming
+//! summary's length (the allocator may copy it once to grow it).
+//! Sharding therefore saves memory only when distinct ≪ n, as in the
+//! paper's measurements ("about 10 database points per permutation",
+//! §5).  On mostly distinct data (uniform d = 8 at the survey's larger
+//! k) the frontier reaches about n entries whatever the shard size, and
+//! each extra shard only adds a merge pass.  So the parallel collector
+//! caps each worker's shard at the rows that worker scans:
+//! `shard_rows = 0` and every `shard_rows` at or above that count are
+//! the same one-shard configuration.
+//!
+//! ## Equivalence
+//!
+//! Exact: merging the run-length summaries of sorted multisets, with
+//! occupancies summed on equal keys, is the run-length scan of their
+//! sorted union, wherever the shard and worker boundaries fall.  The
+//! summary — keys, occupancies, total and every float derived from
+//! them — is bit-for-bit the one [`PackedPermutationCounter::finalize`]
+//! produces over all the keys at once (`tests/sharded_equivalence.rs`
+//! pins this across shard sizes, widths and thread counts).
 //!
 //! [`PackedPermutationCounter::finalize`]: crate::counter::PackedPermutationCounter::finalize
 
-use crate::counter::PackedCountSummary;
+use crate::counter::{PackedCountSummary, PackedPermutationCounter};
 use crate::key::PackedKey;
 use crate::radix::RadixSorter;
 
-/// Bounded-memory occurrence counter over packed permutation keys.
+/// Bounded-shard occurrence counter over packed permutation keys.
 ///
-/// Drop-in for the collect-then-finalize flow of
-/// [`crate::counter::PackedPermutationCounter`] when n keys must never
-/// be resident: feed keys with [`Self::insert_key`], take the summary
-/// with [`Self::finalize`].  See the [module docs](self) for the memory
+/// Feed keys with [`Self::insert_key`], take the summary with
+/// [`Self::finalize`].  See the [module docs](self) for the memory
 /// contract and the equivalence argument.
 #[derive(Debug, Clone)]
 pub struct ShardedCounter<K: PackedKey = u64> {
-    k: usize,
     shard_rows: usize,
     /// Unsorted keys of the shard in flight — never exceeds `shard_rows`.
     buf: Vec<K>,
-    /// Sorted `(key, count)` runs of everything flushed so far.
-    frontier: Vec<(K, u64)>,
-    /// Merge output scratch, swapped with `frontier` each flush.
-    merged: Vec<(K, u64)>,
+    /// Summary of everything flushed so far.
+    frontier: PackedCountSummary<K>,
     sorter: RadixSorter<K>,
-    total: u64,
     peak_frontier: usize,
 }
 
 impl<K: PackedKey> ShardedCounter<K> {
     /// An empty counter for permutations of length `k`, flushing every
     /// `shard_rows` inserts.
+    ///
+    /// Nothing is allocated up front: each shard reserves its
+    /// `shard_rows` keys when its first key arrives, so callers that
+    /// know the stream length should cap `shard_rows` at it (the
+    /// parallel collector does).
     ///
     /// # Panics
     /// Panics if `shard_rows` is 0 or `k` exceeds the key width's
@@ -71,30 +81,22 @@ impl<K: PackedKey> ShardedCounter<K> {
             K::BITS
         );
         Self {
-            k,
             shard_rows,
-            buf: Vec::with_capacity(shard_rows),
-            frontier: Vec::new(),
-            merged: Vec::new(),
+            buf: Vec::new(),
+            frontier: PackedCountSummary::empty(k),
             sorter: RadixSorter::new(),
-            total: 0,
             peak_frontier: 0,
         }
     }
 
     /// Permutation length k.
     pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Shard size this counter flushes at.
-    pub fn shard_rows(&self) -> usize {
-        self.shard_rows
+        self.frontier.k()
     }
 
     /// Total number of observations so far (flushed or buffered).
     pub fn total(&self) -> u64 {
-        self.total + self.buf.len() as u64
+        self.frontier.total() + self.buf.len() as u64
     }
 
     /// Records one occurrence of a packed key (the
@@ -102,126 +104,98 @@ impl<K: PackedKey> ShardedCounter<K> {
     /// if this insert fills it.
     #[inline]
     pub fn insert_key(&mut self, key: K) {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.shard_rows);
+        }
         self.buf.push(key);
         if self.buf.len() == self.shard_rows {
             self.flush();
         }
     }
 
-    /// Sorts and merges the in-flight shard into the frontier now, even
-    /// if it is only partially full.  A no-op on an empty shard;
-    /// [`Self::finalize`] calls this, so explicit calls are only needed
-    /// to read exact [`Self::frontier_entries`] mid-stream.
+    /// Finalizes the in-flight shard and merges it into the frontier
+    /// now, even if it is only partially full.  A no-op on an empty
+    /// shard; [`Self::finalize`] calls this, so explicit calls are only
+    /// needed to read an exact [`Self::peak_frontier_entries`]
+    /// mid-stream.
     pub fn flush(&mut self) {
         if self.buf.is_empty() {
             return;
         }
-        self.sorter.sort_keys(&mut self.buf, K::key_bits(self.k));
-        self.merged.clear();
-        self.merged.reserve(self.frontier.len() + self.buf.len());
-        let mut fi = 0usize;
-        let mut bi = 0usize;
-        while bi < self.buf.len() {
-            let key = self.buf[bi];
-            let run_start = bi;
-            while bi < self.buf.len() && self.buf[bi] == key {
-                bi += 1;
-            }
-            let run = (bi - run_start) as u64;
-            while fi < self.frontier.len() && self.frontier[fi].0 < key {
-                self.merged.push(self.frontier[fi]);
-                fi += 1;
-            }
-            if fi < self.frontier.len() && self.frontier[fi].0 == key {
-                self.merged.push((key, self.frontier[fi].1 + run));
-                fi += 1;
-            } else {
-                self.merged.push((key, run));
-            }
-        }
-        self.merged.extend_from_slice(&self.frontier[fi..]);
-        std::mem::swap(&mut self.frontier, &mut self.merged);
-        self.total += self.buf.len() as u64;
-        self.buf.clear();
-        self.peak_frontier = self.peak_frontier.max(self.frontier.len());
+        let shard = PackedPermutationCounter::from_keys(self.k(), std::mem::take(&mut self.buf))
+            .finalize_with(&mut self.sorter);
+        self.frontier.merge(shard);
+        self.peak_frontier = self.peak_frontier.max(self.frontier.distinct());
     }
 
-    /// Distinct permutations currently on the frontier (excluding any
-    /// unflushed shard contents).
-    pub fn frontier_entries(&self) -> usize {
-        self.frontier.len()
-    }
-
-    /// Largest frontier length any flush has produced — with
-    /// [`Self::shard_rows`], the counter's whole memory story.
+    /// Largest frontier length any flush has produced — with the shard
+    /// size, the counter's whole memory story.
     pub fn peak_frontier_entries(&self) -> usize {
         self.peak_frontier
     }
 
-    /// Flushes the tail shard and returns the finalized summary —
-    /// identical to collecting every key in memory and finalizing.
+    /// Flushes the tail shard and returns the frontier — identical to
+    /// collecting every key in memory and finalizing.
     pub fn finalize(mut self) -> PackedCountSummary<K> {
-        self.flush();
-        PackedCountSummary::from_counted_runs(self.k, self.frontier)
-    }
-
-    /// Flushes the tail shard and surrenders the raw frontier — the
-    /// parallel collectors merge per-worker frontiers with
-    /// [`merge_counted_run_sets`] before building one summary.
-    pub(crate) fn into_runs(mut self) -> Vec<(K, u64)> {
         self.flush();
         self.frontier
     }
 }
 
-/// Merges sorted `(key, count)` run sets pairwise until one remains,
-/// summing counts on equal keys — the counted-run generalization of the
-/// parallel collectors' sorted-run merge, `O(D log t)` for `t` sets of
-/// ≤ D distinct keys each.
-pub(crate) fn merge_counted_run_sets<K: PackedKey>(mut runs: Vec<Vec<(K, u64)>>) -> Vec<(K, u64)> {
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two_run_sets(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
+impl<K: PackedKey> PackedCountSummary<K> {
+    /// The summary of no observations.
+    pub(crate) fn empty(k: usize) -> Self {
+        Self { k, keys: Vec::new(), occupancies: Vec::new(), total: 0 }
     }
-    runs.pop().unwrap_or_default()
-}
 
-fn merge_two_run_sets<K: PackedKey>(a: &[(K, u64)], b: &[(K, u64)]) -> Vec<(K, u64)> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1 + b[j].1));
-                i += 1;
-                j += 1;
+    /// Merges `other` into `self`: the union of the distinct keys in
+    /// ascending order, occupancies summed on equal keys, totals added.
+    ///
+    /// Works in place: the larger summary grows to hold both and is
+    /// merged into from the back, so the merge allocates no second
+    /// output buffer (and merging into an empty summary just moves
+    /// `other` in).  The write cursor `w` never drops below the unread
+    /// prefix `self[..i]` — each step lowers `w` by one and `i + j` by
+    /// one or two — so no entry is overwritten before it is read.
+    pub(crate) fn merge(&mut self, mut other: Self) {
+        debug_assert_eq!(self.k, other.k, "merging summaries of different k");
+        if self.keys.len() < other.keys.len() {
+            std::mem::swap(self, &mut other);
+        }
+        self.total += other.total;
+        let (mut i, mut j) = (self.keys.len(), other.keys.len());
+        let mut w = i + j;
+        self.keys.resize(w, K::ZERO);
+        self.occupancies.resize(w, 0);
+        while j > 0 {
+            w -= 1;
+            let (key, occupancy) = (other.keys[j - 1], other.occupancies[j - 1]);
+            if i > 0 && self.keys[i - 1] >= key {
+                i -= 1;
+                self.keys[w] = self.keys[i];
+                self.occupancies[w] = self.occupancies[i];
+                if self.keys[i] == key {
+                    self.occupancies[w] += occupancy;
+                    j -= 1;
+                }
+            } else {
+                self.keys[w] = key;
+                self.occupancies[w] = occupancy;
+                j -= 1;
             }
         }
+        // `self[..i]` is already in place; close the gap equal keys left.
+        let len = i + self.keys.len() - w;
+        self.keys.copy_within(w.., i);
+        self.occupancies.copy_within(w.., i);
+        self.keys.truncate(len);
+        self.occupancies.truncate(len);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::PackedPermutationCounter;
 
     fn weyl_keys(n: usize, k: usize, salt: u64) -> Vec<u64> {
         // Pseudo-random valid packed permutations: rotate the identity by
@@ -245,6 +219,13 @@ mod tests {
         c.finalize()
     }
 
+    fn assert_same_summary(a: &PackedCountSummary<u64>, b: &PackedCountSummary<u64>, tag: &str) {
+        assert_eq!(a.k(), b.k(), "{tag}: k");
+        assert_eq!(a.distinct_keys().collect::<Vec<_>>(), b.distinct_keys().collect::<Vec<_>>());
+        assert_eq!(a.lexicographic_counts(), b.lexicographic_counts(), "{tag}: occupancies");
+        assert_eq!(a.total(), b.total(), "{tag}: total");
+    }
+
     #[test]
     fn sharded_matches_in_memory_across_shard_sizes() {
         let k = 6;
@@ -258,13 +239,7 @@ mod tests {
             }
             assert_eq!(sharded.total(), n as u64, "shard_rows = {shard_rows}");
             let summary = sharded.finalize();
-            assert_eq!(summary.distinct(), expected.distinct(), "shard_rows = {shard_rows}");
-            assert_eq!(summary.total(), expected.total());
-            assert_eq!(summary.lexicographic_counts(), expected.lexicographic_counts());
-            assert_eq!(
-                summary.distinct_keys().collect::<Vec<_>>(),
-                expected.distinct_keys().collect::<Vec<_>>(),
-            );
+            assert_same_summary(&summary, &expected, &format!("shard_rows = {shard_rows}"));
             assert_eq!(summary.mean_occupancy().to_bits(), expected.mean_occupancy().to_bits());
         }
     }
@@ -278,23 +253,65 @@ mod tests {
             sharded.insert_key(key);
         }
         sharded.flush();
-        let frontier = sharded.frontier_entries();
         let peak = sharded.peak_frontier_entries();
         let summary = sharded.finalize();
-        assert_eq!(frontier, summary.distinct());
         // The frontier only ever grows toward the final distinct count.
         assert_eq!(peak, summary.distinct());
     }
 
     #[test]
-    fn merge_counted_run_sets_sums_equal_keys() {
-        let merged = merge_counted_run_sets::<u64>(vec![
-            vec![(1, 2), (5, 1)],
-            vec![(1, 1), (3, 4)],
-            vec![(5, 7)],
-        ]);
-        assert_eq!(merged, vec![(1, 3), (3, 4), (5, 8)]);
-        assert_eq!(merge_counted_run_sets::<u64>(Vec::new()), Vec::new());
+    fn merge_with_an_empty_side_is_the_other_side() {
+        let k = 5;
+        let full = in_memory_summary(k, &weyl_keys(300, k, 4));
+        let mut left = PackedCountSummary::<u64>::empty(k);
+        left.merge(full.clone());
+        assert_same_summary(&left, &full, "empty ⊕ full");
+        let mut right = full.clone();
+        right.merge(PackedCountSummary::empty(k));
+        assert_same_summary(&right, &full, "full ⊕ empty");
+        let mut none = PackedCountSummary::<u64>::empty(k);
+        none.merge(PackedCountSummary::empty(k));
+        assert_eq!((none.distinct(), none.total()), (0, 0));
+    }
+
+    #[test]
+    fn merge_sums_equal_keys_and_interleaves_the_rest() {
+        let k = 3;
+        let mut a = in_memory_summary(k, &[1, 1, 5, 9, 9, 9]);
+        let b = in_memory_summary(k, &[0, 1, 3, 5, 5, 12]);
+        a.merge(b);
+        assert_eq!(a.distinct_keys().collect::<Vec<_>>(), vec![0, 1, 3, 5, 9, 12]);
+        assert_eq!(a.lexicographic_counts(), vec![1, 3, 1, 3, 3, 1]);
+        assert_eq!(a.total(), 12);
+        assert_eq!(a.lexicographic_counts().iter().sum::<u64>(), a.total());
+    }
+
+    #[test]
+    fn merge_of_split_streams_is_the_summary_of_the_whole() {
+        // Any cut of the stream, merged in either order, reproduces the
+        // in-memory summary — the associativity both merge directions
+        // lean on.
+        let k = 6;
+        let keys = weyl_keys(2000, k, 17);
+        let expected = in_memory_summary(k, &keys);
+        for cut in [0usize, 1, 999, 1999, 2000] {
+            let (head, tail) = keys.split_at(cut);
+            let mut forward = in_memory_summary(k, head);
+            forward.merge(in_memory_summary(k, tail));
+            assert_same_summary(&forward, &expected, &format!("cut = {cut}"));
+            let mut backward = in_memory_summary(k, tail);
+            backward.merge(in_memory_summary(k, head));
+            assert_same_summary(&backward, &expected, &format!("cut = {cut}, reversed"));
+        }
+    }
+
+    #[test]
+    fn no_shard_memory_is_reserved_before_the_first_key() {
+        // A shard size far beyond any real stream must not allocate up
+        // front.
+        let counter = ShardedCounter::<u128>::new(8, usize::MAX);
+        let summary = counter.finalize();
+        assert_eq!((summary.distinct(), summary.total()), (0, 0));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Streaming survey in bounded memory — the same report, a fraction of
 //! the working set.
 //!
-//! The flat survey normally buffers one packed key per database row
-//! before sorting.  `survey_database_flat_sharded` streams the keys
-//! through fixed-size shards instead: at most `shard_rows` keys are
-//! buffered at once, each full shard is radix-sorted and merged into a
-//! frontier holding one `(key, count)` run per *distinct* permutation.
-//! Because merging sorted multiset runs is associative, the report —
-//! floats included — is bit-identical to the buffer-everything engine;
-//! only the working set changes.  This example runs both engines on the
+//! By default the flat survey finalizes each worker's packed keys as
+//! one shard.  `survey_database_flat_sharded` with a smaller
+//! `shard_rows` bounds the shard instead: at most `shard_rows` keys are
+//! buffered at once, and each full shard is radix-sorted, compacted to
+//! its distinct keys and merged into a frontier summary holding one key
+//! and one `u64` occupancy per *distinct* permutation.  Because merging
+//! sorted multiset summaries is associative, the report — floats
+//! included — is bit-identical to the one-shard engine; only the
+//! working set changes.  This example runs both engines on the
 //! same database, checks the reports render identically, and then
 //! drives a [`ShardedCounter`] directly to show the measured high-water
 //! working set next to the buffer-everything footprint.
@@ -30,8 +31,9 @@ fn main() {
     let db = uniform_unit_cube_flat(n, dim, 1);
     let config = SurveyConfig { ks: vec![k], seed: 7, rho_pairs: 10_000, reference: None };
 
-    // shard_rows = 0 is the buffer-everything engine; any other value
-    // bounds the buffered keys without changing a single output bit.
+    // shard_rows = 0 is one shard for the whole database; a smaller
+    // value bounds the buffered keys without changing a single output
+    // bit.
     let inmem = survey_database_flat_sharded(&L2, &db, &config, 1, 0);
     let sharded = survey_database_flat_sharded(&L2, &db, &config, 1, shard_rows);
     let (inmem_text, sharded_text) = (format!("{inmem}"), format!("{sharded}"));
@@ -50,14 +52,14 @@ fn main() {
     }
     counter.flush();
     let key_bytes = std::mem::size_of::<u128>();
-    let run_bytes = std::mem::size_of::<(u128, u64)>();
+    let entry_bytes = key_bytes + std::mem::size_of::<u64>();
     let buffered = shard_rows.min(keys.len()) * key_bytes;
-    let frontier = counter.peak_frontier_entries() * run_bytes;
+    let frontier = counter.peak_frontier_entries() * entry_bytes;
     let summary = counter.finalize();
     println!("=== streaming counter working set (shard_rows = {shard_rows}) ===");
     println!("buffer-everything: {:>8} KiB ({n} keys)", keys.len() * key_bytes / 1024);
     println!(
-        "sharded peak:      {:>8} KiB (one shard + {} distinct runs)",
+        "sharded peak:      {:>8} KiB (one shard + {} distinct entries)",
         (buffered + frontier) / 1024,
         summary.distinct()
     );

@@ -26,7 +26,8 @@ use distance_permutations::core::{
 use distance_permutations::datasets::vectors::uniform_unit_cube_flat;
 use distance_permutations::metric::{TransposedSites, L2};
 use distance_permutations::permutation::compute::{
-    database_permutations_flat, packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K,
+    collect_packed_flat, collect_sharded_flat_parallel, database_permutations_flat,
+    packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K,
 };
 use distance_permutations::permutation::{pack_perm, ShardedCounter};
 use proptest::prelude::*;
@@ -80,6 +81,43 @@ where
     }
 }
 
+/// The packed collector against an oracle that shares none of its
+/// machinery: the sequential buffer-everything
+/// `collect_packed_flat(..).finalize()` — no shards, no workers, no
+/// summary merge.  Distinct keys, occupancies and total must agree for
+/// every shard size (including 0, the default, and sizes far beyond n)
+/// and thread count.
+fn check_collector_against_sequential<K>(n: usize, k: usize, d: usize, seed: u64)
+where
+    K: distance_permutations::permutation::PackedKey,
+{
+    let db = uniform_unit_cube_flat(n, d, seed);
+    let sites = uniform_unit_cube_flat(k, d, seed ^ 0x0C0C);
+    let sites_t = TransposedSites::from_rows(sites.as_flat(), d);
+    let oracle = collect_packed_flat::<K, _>(&L2, &sites_t, db.as_flat()).finalize();
+    let oracle_keys: Vec<K> = oracle.distinct_keys().collect();
+    for shard_rows in [0usize, 1, 3, n - 1, n, n + 1, usize::MAX] {
+        for threads in [1usize, 2, 4] {
+            let tag = format!("n = {n}, k = {k}, shard_rows = {shard_rows}, threads = {threads}");
+            let summary = collect_sharded_flat_parallel::<K, _>(
+                &L2,
+                &sites_t,
+                db.as_flat(),
+                threads,
+                shard_rows,
+            );
+            assert_eq!(summary.distinct_keys().collect::<Vec<K>>(), oracle_keys, "{tag}: keys");
+            assert_eq!(
+                summary.lexicographic_counts(),
+                oracle.lexicographic_counts(),
+                "{tag}: occupancies"
+            );
+            assert_eq!(summary.total(), oracle.total(), "{tag}: total");
+            assert_eq!(summary.total(), n as u64, "{tag}: total is n");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -125,6 +163,32 @@ proptest! {
                     sharded.mean_occupancy.to_bits(),
                     "{tag}: occupancy"
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    // The packed collector against the independent sequential oracle,
+    // for every n mod 4 tail on both sides of the 1024-row serial
+    // cutoff (below it every thread count runs one chunk on the
+    // caller), across both key widths and their seams.
+    #[test]
+    fn sharded_collector_matches_sequential_oracle(
+        base in 32usize..128,
+        d in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        for n in [4 * base, 1024 + 4 * base] {
+            for n in n..n + 4 {
+                for k in [11usize, 12] {
+                    check_collector_against_sequential::<u64>(n, k, d, seed);
+                }
+                for k in [13usize, 24, 25] {
+                    check_collector_against_sequential::<u128>(n, k, d, seed);
+                }
             }
         }
     }
