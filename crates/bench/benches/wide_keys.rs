@@ -1,30 +1,29 @@
-//! Wide packed keys vs the hash fallback across the k sweep the
-//! width-generic refactor opened up.
+//! Packed keys vs the hash-counter oracle across the whole k sweep.
 //!
-//! Before PR 9 every k > 12 fell off the packed radix path onto the
-//! hash-interning counter; now k ≤ 25 packs into a `u128` and runs the
-//! same sort-and-scan pipeline as the `u64` headline configuration.
-//! This bench sweeps k ∈ {8, 12, 16, 20, 24} on the 100k-point, d = 8
-//! workload and times both engines at every k, twice over:
+//! Every k ≤ 32 runs the packed sort-and-scan pipeline: `u64` keys for
+//! k ≤ 12, `u128` keys above — 5-bit fields up to k = 25 and the
+//! permutation's Lehmer rank for 26 ≤ k ≤ 32.  This bench sweeps
+//! k ∈ {8, 12, 16, 20, 24, 28, 32} on the 100k-point, d = 8 workload and
+//! times both engines at every k, twice over:
 //!
 //! * the `count` groups run the bare counting pipeline (distances →
 //!   ranking → count) — `packed` is the width the `for_packed_k!`
-//!   dispatcher would pick (`u64` for k ≤ 12, `u128` above) via
+//!   dispatcher picks (`u64` for k ≤ 12, `u128` above) via
 //!   [`collect_packed_flat`]; `hash` is the permutation-materialising
-//!   counter ([`collect_counter_flat`]), the only pre-PR option for
-//!   k > 12 and still the reference oracle;
+//!   counter ([`collect_counter_flat`]), the reference oracle;
 //! * the `survey` groups add the per-k survey tail on top — the
 //!   codebook-ordered frequency table (`lexicographic_counts`, a clone
-//!   of the occupancy scan under the lexicographic key layout, vs the
-//!   hash arm's lexicographic `sorted_counts` over materialised
-//!   permutations, exactly the two arms of `survey_one_k`) and the
-//!   shared Huffman + entropy sums.  This is where wide keys pay off
-//!   hardest: the hash arm re-sorts `Vec<u8>` permutations while the
-//!   packed arm's key order already *is* the codebook order.
+//!   of the occupancy scan under the lexicographic key order, vs the
+//!   hash counter's lexicographic `sorted_counts` over materialised
+//!   permutations) and the shared Huffman + entropy sums.  This is where
+//!   packed keys pay off hardest: the hash counter re-sorts its
+//!   permutations while the packed key order already *is* the codebook
+//!   order.
 //!
 //! The k ≤ 12 cells double as a regression guard: the width-generic
 //! dispatch must not tax the narrow `u64` path that set the flat-count
-//! baseline in `BENCH_flat.json`.
+//! baseline in `BENCH_flat.json`; the k = 28 and 32 cells price the
+//! Lehmer-rank encoding.
 //!
 //! Set `CRITERION_JSON=BENCH_wide_keys.json` to append machine-readable
 //! medians; the committed baseline was recorded that way.
@@ -62,7 +61,7 @@ fn survey_packed<K: PackedKey>(sites_t: &TransposedSites, rows: &[f64]) -> f64 {
 }
 
 fn bench_wide_counting(c: &mut Criterion) {
-    for k in [8usize, 12, 16, 20, 24] {
+    for k in [8usize, 12, 16, 20, 24, 28, 32] {
         let (db, sites_t) = setup(k);
         let mut group = c.benchmark_group(format!("wide_keys_count_n{N}_k{k}_d{DIM}"));
         group.sample_size(10);
@@ -82,7 +81,7 @@ fn bench_wide_counting(c: &mut Criterion) {
 }
 
 fn bench_wide_survey(c: &mut Criterion) {
-    for k in [8usize, 12, 16, 20, 24] {
+    for k in [8usize, 12, 16, 20, 24, 28, 32] {
         let (db, sites_t) = setup(k);
         let mut group = c.benchmark_group(format!("wide_keys_survey_n{N}_k{k}_d{DIM}"));
         group.sample_size(10);

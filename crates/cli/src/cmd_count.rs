@@ -151,8 +151,8 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
     writeln!(out, "database: n = {}, metric = {}", db.len(), db.metric_name())?;
     let ids: Vec<String> = outcome.site_ids.iter().map(usize::to_string).collect();
     writeln!(out, "sites (k = {k}): [{}]", ids.join(", "))?;
-    // Name the engine so a k outside a packed range is visible instead
-    // of a silent fallback.
+    // Name the engine: the packed key width for vectors, the per-point
+    // path for strings.
     let engine = match &db {
         Database::Vectors { .. } => CountEngine::for_k(k).name(),
         Database::Strings { .. } => "generic",

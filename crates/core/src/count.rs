@@ -7,26 +7,25 @@
 //! * the flat batched path ([`count_permutations_flat_sharded`]) for
 //!   real-vector data in [`VectorSet`] storage — site-transposed, 4-wide
 //!   strip-mined distance kernels feeding one packed collector,
-//!   [`dp_permutation::ShardedCounter`] per worker (LSD radix sort over
-//!   the `5k` significant key bits, run-length scan, summaries merged
-//!   across shards and workers), identical results, several times the
+//!   [`dp_permutation::ShardedCounter`] per worker (radix sort over the
+//!   significant key bits, run-length scan, summaries merged across
+//!   shards and workers), identical results, several times the
 //!   throughput.  This is the engine behind the Table 3 protocol in
 //!   [`crate::experiments`].  [`count_permutations_flat`] and
 //!   [`count_permutations_flat_parallel`] are the same engine with
 //!   `shard_rows = 0`.
 //!
 //! The flat path dispatches once per workload over the packed-key width
-//! ([`CountEngine::for_k`]): `u64` keys for k ≤ 12, `u128` keys for
-//! k ≤ 25, and the hash counter over materialised permutations beyond
-//! that.  All three engines produce bit-identical reports.
+//! ([`CountEngine::for_k`]): `u64` keys for k ≤ 12 and `u128` keys for
+//! every k up to [`dp_permutation::MAX_K`] = 32 (5-bit fields to
+//! k = 25, the Lehmer rank above — see [`dp_permutation::key`]).  Both
+//! engines produce bit-identical reports.
 
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
-use dp_permutation::compute::{
-    collect_counter_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
-};
+use dp_permutation::compute::{collect_sharded_flat_parallel, PACKED_MAX_K};
 use dp_permutation::counter::collect_counter;
-use dp_permutation::{DistPermComputer, PackedCountSummary, PackedKey, PermutationCounter};
+use dp_permutation::{DistPermComputer, PackedCountSummary, PackedKey, PermutationCounter, MAX_K};
 
 /// Summary of one counting run.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,19 +54,16 @@ impl<K: PackedKey> From<&PackedCountSummary<K>> for CountReport {
 /// Which counting engine the flat path selects for a given site count.
 ///
 /// The selection is a property of `k` alone, made once per workload, so
-/// the monomorphized kernels under it contain no width branches.  All
-/// three engines produce bit-identical [`CountReport`]s — the packed
-/// paths are faster, never different.  The CLI reports the chosen
-/// engine's [`name`](CountEngine::name) so a k that silently leaves the
-/// packed range is visible.
+/// the monomorphized kernels under it contain no width branches.  Both
+/// engines are the same sorted-run pipeline at two key widths and
+/// produce bit-identical [`CountReport`]s.  The CLI reports the chosen
+/// engine's [`name`](CountEngine::name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountEngine {
     /// Sorted-run counting over `u64` packed keys (k ≤ 12).
     PackedU64,
-    /// Sorted-run counting over `u128` packed keys (13 ≤ k ≤ 25).
+    /// Sorted-run counting over `u128` packed keys (13 ≤ k ≤ 32).
     PackedU128,
-    /// Hash counting over materialised permutations (k ≥ 26).
-    Hash,
 }
 
 impl CountEngine {
@@ -75,10 +71,8 @@ impl CountEngine {
     pub fn for_k(k: usize) -> Self {
         if k <= PACKED_MAX_K {
             CountEngine::PackedU64
-        } else if k <= WIDE_MAX_K {
-            CountEngine::PackedU128
         } else {
-            CountEngine::Hash
+            CountEngine::PackedU128
         }
     }
 
@@ -87,7 +81,6 @@ impl CountEngine {
         match self {
             CountEngine::PackedU64 => "packed-u64",
             CountEngine::PackedU128 => "packed-u128",
-            CountEngine::Hash => "hash",
         }
     }
 }
@@ -181,9 +174,9 @@ pub fn count_permutations_flat_parallel<M: BatchDistance + Sync>(
 /// set, never the counts (see [`dp_permutation::shard`] for when a
 /// smaller shard actually saves memory).
 ///
-/// Beyond [`WIDE_MAX_K`] there is no packed key to shard on, so the
-/// hash engine runs regardless of `shard_rows` (its working set is
-/// already one entry per distinct permutation).
+/// # Panics
+/// Panics if `sites.len() > MAX_K`, or if the site and database
+/// dimensions disagree (when both are non-empty).
 pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     metric: &M,
     sites: &VectorSet,
@@ -199,7 +192,7 @@ pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
         K => CountReport::from(&collect_sharded_flat_parallel::<K, _>(
             metric, &sites_t, flat, threads, shard_rows,
         )),
-        _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
+        _ => panic!("k = {} exceeds MAX_K = {MAX_K}", sites.len()),
     )
 }
 
@@ -314,23 +307,24 @@ mod tests {
             let expected = dp_permutation::for_packed_k!(
                 k,
                 K => if K::BITS == 64 { CountEngine::PackedU64 } else { CountEngine::PackedU128 },
-                _ => CountEngine::Hash,
+                _ => CountEngine::PackedU128,
             );
             assert_eq!(CountEngine::for_k(k), expected, "k = {k}");
         }
         assert_eq!(CountEngine::for_k(12), CountEngine::PackedU64);
         assert_eq!(CountEngine::for_k(13), CountEngine::PackedU128);
         assert_eq!(CountEngine::for_k(25), CountEngine::PackedU128);
-        assert_eq!(CountEngine::for_k(26), CountEngine::Hash);
+        assert_eq!(CountEngine::for_k(26), CountEngine::PackedU128);
         assert_eq!(CountEngine::for_k(13).name(), "packed-u128");
     }
 
     #[test]
     fn flat_matches_nested_across_the_width_seams() {
-        // k = 12/13 (u64 → u128) and k = 25/26 (u128 → hash): every
-        // engine must agree with the nested per-point path in every
-        // field, including the f64 occupancy bits.
-        for k in [12usize, 13, 14, 25, 26] {
+        // k = 12/13 (u64 → u128) and k = 25/26 (5-bit fields → Lehmer
+        // rank), up to MAX_K = 32: every engine must agree with the
+        // nested per-point path in every field, including the f64
+        // occupancy bits.
+        for k in [12usize, 13, 14, 25, 26, 28, 31, 32] {
             let db = uniform_unit_cube(1500, 4, 40 + k as u64);
             let sites = uniform_unit_cube(k, 4, 41 ^ k as u64);
             let db_flat = uniform_unit_cube_flat(1500, 4, 40 + k as u64);

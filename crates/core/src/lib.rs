@@ -28,7 +28,7 @@
 //! * [`survey_flat`] — the same survey on flat [`dp_datasets::VectorSet`]
 //!   storage through the batched site-transposed kernels and
 //!   width-generic packed counting (`u64` keys for k ≤ 12, `u128` keys
-//!   for k ≤ 25, hash counting beyond; see [`count::CountEngine`]),
+//!   up to k = 32; see [`count::CountEngine`]),
 //!   with ranking and key packing fused into one register-resident tile
 //!   pass — bit-identical report, several times the throughput; this is
 //!   the engine the CLI uses for vector databases.

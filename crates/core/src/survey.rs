@@ -133,7 +133,7 @@ where
 /// [`PermutationCounter::sorted_counts`] emits exactly this order (ids
 /// of a codebook interned from the sorted permutations are `0..N` in
 /// sequence), so no codebook — flat or hashed — needs to be built here.
-pub(crate) fn counter_freqs(counter: &PermutationCounter) -> Vec<u64> {
+fn counter_freqs(counter: &PermutationCounter) -> Vec<u64> {
     counter.sorted_counts().into_iter().map(|(_, c)| c).collect()
 }
 

@@ -6,9 +6,9 @@
 //! row views with the identical pair stream, and every per-k counting
 //! pass runs through the site-transposed, 4-wide strip-mined
 //! [`BatchDistance`] kernels with the branchless k²/2 ranking into the
-//! one packed collector, a [`dp_permutation::ShardedCounter`] per worker
-//! (`u64` keys for k ≤ [`dp_permutation::PACKED_MAX_K`], `u128` keys for
-//! k ≤ [`dp_permutation::WIDE_MAX_K`]), the hash counter beyond.
+//! one packed collector, a [`dp_permutation::ShardedCounter`] per worker,
+//! at every k (`u64` keys for k ≤ [`dp_permutation::PACKED_MAX_K`],
+//! `u128` keys up to [`dp_permutation::MAX_K`]).
 //! Distances, counts, frequency tables and therefore **every field of the returned
 //! [`DatabaseSurvey`] are bit-for-bit identical** to the generic
 //! per-point path; the workspace property suite
@@ -23,12 +23,11 @@
 //! the same engine with `shard_rows = 0` (one shard per worker).
 
 use crate::count::CountReport;
-use crate::survey::{
-    build_ksurvey, counter_freqs, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig,
-};
+use crate::survey::{build_ksurvey, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig};
 use dp_datasets::VectorSet;
 use dp_metric::BatchDistance;
-use dp_permutation::compute::{collect_counter_flat_parallel, collect_sharded_flat_parallel};
+use dp_permutation::compute::collect_sharded_flat_parallel;
+use dp_permutation::MAX_K;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,14 +91,12 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
 }
 
-/// One per-k measurement through the flat engine.  For k within a
-/// packed range (either key width) the distinct/occupancy scan is the
-/// sharded packed collector and the frequency table comes from
-/// [`dp_permutation::PackedCountSummary::lexicographic_counts`], which
-/// matches the generic path's codebook order exactly without decoding a
-/// single permutation; beyond [`dp_permutation::WIDE_MAX_K`] the hash
-/// counter feeds the same sorted-count frequency table the generic path
-/// uses.
+/// One per-k measurement through the flat engine.  The
+/// distinct/occupancy scan is the sharded packed collector at the key
+/// width fitting `k`, and the frequency table comes from
+/// [`dp_permutation::PackedCountSummary::lexicographic_counts`]: both
+/// key encodings sort in lexicographic order, so it matches the generic
+/// path's codebook order exactly without decoding a single permutation.
 fn survey_one_k<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
@@ -119,10 +116,7 @@ fn survey_one_k<M: BatchDistance + Sync>(
                 collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows);
             build_ksurvey(k, site_ids, CountReport::from(&summary), &summary.lexicographic_counts())
         },
-        _ => {
-            let counter = collect_counter_flat_parallel(metric, &sites_t, flat, threads);
-            build_ksurvey(k, site_ids, CountReport::from(&counter), &counter_freqs(&counter))
-        },
+        _ => panic!("k = {k} exceeds MAX_K = {MAX_K}"),
     )
 }
 
@@ -178,12 +172,17 @@ mod tests {
     #[test]
     fn flat_survey_crosses_the_packed_boundaries() {
         // k = 13 crosses the u64/u128 seam onto the wide packed engine;
-        // k = 26 exceeds WIDE_MAX_K and lands on the hash-counter arm.
-        // Every arm must produce the same report as the generic path,
-        // bit-for-bit including the Huffman and entropy f64 sums.
+        // k = 26 crosses from 5-bit field keys to Lehmer-rank keys, up to
+        // MAX_K = 32.  Every arm must produce the same report as the
+        // generic path, bit-for-bit including the Huffman and entropy f64
+        // sums.
         let nested = uniform_unit_cube(1500, 4, 31);
         let flat = uniform_unit_cube_flat(1500, 4, 31);
-        let cfg = SurveyConfig { ks: vec![12, 13, 25, 26], rho_pairs: 1500, ..Default::default() };
+        let cfg = SurveyConfig {
+            ks: vec![12, 13, 25, 26, 28, 31, 32],
+            rho_pairs: 1500,
+            ..Default::default()
+        };
         assert_surveys_identical(
             &survey_database(&L2, &nested, &cfg),
             &survey_database_flat(&L2, &flat, &cfg),

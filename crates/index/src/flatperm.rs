@@ -23,7 +23,8 @@ use crate::query::{
 };
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP_POINTS};
-use dp_permutation::compute::{database_permutations_flat_parallel, PACKED_MAX_K, WIDE_MAX_K};
+use dp_permutation::compute::{database_permutations_flat_parallel, PACKED_MAX_K};
+use dp_permutation::key::FIELD_MAX_K;
 use dp_permutation::{pack_perm, PackedKey, Permutation, PermutationCounter, MAX_K};
 
 /// Candidate rows gathered per batched distance call in the budgeted
@@ -37,7 +38,9 @@ const CANDIDATE_BLOCK_ROWS: usize = 16 * STRIP_POINTS;
 /// the *position* of site `e` in its permutation).  The Spearman
 /// footrule is then a field-wise `abs_diff` sum over two keys — the
 /// same u64 the permutation walk produces, without materialising an
-/// inverse permutation per candidate per query.
+/// inverse permutation per candidate per query.  Only the 5-bit field
+/// layout has per-site fields, so caching stops at [`FIELD_MAX_K`], not
+/// at the counting pipeline's `WIDE_MAX_K`.
 #[derive(Debug, Clone)]
 enum OrderingKeys {
     /// k ≤ 12: one `u64` key per point.
@@ -54,7 +57,7 @@ impl OrderingKeys {
     fn build(perms: &[Permutation], k: usize) -> Self {
         if k <= PACKED_MAX_K {
             OrderingKeys::Narrow(perms.iter().map(|p| pack_perm::<u64>(&p.inverse())).collect())
-        } else if k <= WIDE_MAX_K {
+        } else if k <= FIELD_MAX_K {
             OrderingKeys::Wide(perms.iter().map(|p| pack_perm::<u128>(&p.inverse())).collect())
         } else {
             OrderingKeys::Uncached

@@ -6,7 +6,7 @@
 //! [`dp_metric::Distance`] is totally ordered the result is deterministic.
 
 use crate::counter::{PackedCountSummary, PackedPermutationCounter, PermutationCounter};
-use crate::key::PackedKey;
+use crate::key::{pack_items, PackedKey};
 use crate::perm::{Permutation, MAX_K};
 use crate::shard::ShardedCounter;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
@@ -143,9 +143,14 @@ pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
     .concat()
 }
 
-/// Counts permutation occurrences over a flat database — the batched
-/// core of the paper's measurement, feeding a [`PermutationCounter`]
-/// without materialising the permutation vector.
+/// Counts permutation occurrences over a flat database into a
+/// [`PermutationCounter`], one materialised permutation per row.
+///
+/// Not a production path: flat counts and surveys run
+/// [`collect_sharded_flat_parallel`] at every k.  This is the
+/// differential oracle the packed pipeline is tested (and benched)
+/// against — it shares the distance kernel but none of the key
+/// packing, sorting or summary machinery.
 pub fn collect_counter_flat<M: BatchDistance>(
     metric: &M,
     sites: &TransposedSites,
@@ -158,7 +163,7 @@ pub fn collect_counter_flat<M: BatchDistance>(
 
 /// Parallel [`collect_counter_flat`]: one counter per row chunk on
 /// `threads` scoped workers, merged.  Deterministic — the merged counts
-/// are independent of the split.
+/// are independent of the split.  An oracle, like its sequential form.
 pub fn collect_counter_flat_parallel<M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
@@ -223,9 +228,10 @@ pub(crate) fn map_row_chunks<T: Send>(
 /// element) — covers every configuration the paper's experiments use.
 pub const PACKED_MAX_K: usize = <u64 as PackedKey>::MAX_K;
 
-/// Largest k the packed pipeline covers at all: the u128 key width
-/// (5 bits per element, 25 fields).  `k > WIDE_MAX_K` falls back to the
-/// hash counting path.
+/// Largest k the packed pipeline covers: the u128 key width, which holds
+/// every k ≤ [`MAX_K`] — 5-bit fields up to k = 25 and the Lehmer rank
+/// above (see [`crate::key`]).  No flat count or survey leaves the
+/// packed pipeline.
 pub const WIDE_MAX_K: usize = <u128 as PackedKey>::MAX_K;
 
 /// Branchless distance-permutation ranking.
@@ -512,9 +518,11 @@ fn packed_key_from_ranks<K: PackedKey>(ranks: &[u8; MAX_K], k: usize) -> K {
 /// field while both are register-resident.  Wide (`u128`) keys keep
 /// the rank accumulator for the whole tile instead: a variable 128-bit
 /// shift is several ops on 64-bit hardware, so each lane de-transposes
-/// into a position-ordered row and shift-accumulates with a constant
-/// one-field shift — the same Σ site·2^(5·(k-1-pos)) value, field by
-/// field.
+/// into a position-ordered row and [`crate::key`] packs it — for
+/// `KC ≤ 25` a shift-accumulate with a constant one-field shift (the
+/// same Σ site·2^(5·(k-1-pos)) value, field by field), above it a
+/// Horner fold of the Lehmer digits.  The encoding is chosen on the
+/// constant `KC`, so each instantiation compiles to one of the two.
 #[inline]
 fn rank_pack_cols<K: PackedKey, const KC: usize>(
     cols: &[[f64; RANK_LANES]; MAX_K],
@@ -528,9 +536,7 @@ fn rank_pack_cols<K: PackedKey, const KC: usize>(
             for (i, lanes) in acc[..KC].iter().enumerate() {
                 items[lanes[lane] as usize] = i as u8;
             }
-            for &site in &items[..KC] {
-                *key = (*key << K::elem_shift(1)) | K::from_elem(site);
-            }
+            *key = pack_items(&items[..KC]);
         }
         return;
     }

@@ -5,15 +5,19 @@
 //! values (`sort | uniq | wc` over the SISAP `build-distperm-*` output, §5).
 //! Two counters implement it:
 //!
-//! * [`PermutationCounter`] — an Fx-hashed multiset for arbitrary k and
+//! * [`PermutationCounter`] — an Fx-hashed multiset for arbitrary
 //!   point streams; also tracks occupancy (how many elements map to each
 //!   permutation), which Table 2's analysis uses ("about 10 database
-//!   points per permutation").
+//!   points per permutation").  It counts the generic per-point path
+//!   (string, tree and other non-vector metrics) and is the differential
+//!   oracle the flat engine is tested against; no flat count or survey
+//!   runs it.
 //! * [`PackedPermutationCounter`] — the sorted-run pipeline behind the
-//!   flat engine: inserts append a packed key (a [`PackedKey`] word —
-//!   `u64` for k ≤ 12, `u128` for k ≤ 25), [`finalize`] (radix-)sorts
-//!   the buffer once and [`count_sorted_runs`] turns the sorted runs
-//!   into occupancies.  No hashing anywhere on the hot path.
+//!   flat engine at every k ≤ [`crate::perm::MAX_K`]: inserts append a
+//!   packed key (a [`PackedKey`] word — `u64` for k ≤ 12, `u128` up to
+//!   k = 32; [`crate::key`] holds the encoding), [`finalize`]
+//!   (radix-)sorts the buffer once and [`count_sorted_runs`] turns the
+//!   sorted runs into occupancies.  No hashing anywhere on the hot path.
 //!
 //! The packed result is a [`PackedCountSummary`]: the distinct keys in
 //! ascending order plus one `u64` occupancy each — O(distinct) memory,
@@ -26,7 +30,7 @@
 
 use crate::compute::DistPermComputer;
 use crate::fxhash::FxHashMap;
-use crate::key::PackedKey;
+use crate::key::{decode_packed, pack_perm, PackedKey, FIELD_MAX_K};
 use crate::perm::Permutation;
 use crate::radix::RadixSorter;
 use dp_metric::Metric;
@@ -110,14 +114,20 @@ impl PermutationCounter {
     /// assigns ids in, so mapping this to its counts *is* the frequency
     /// table both survey engines emit.
     ///
-    /// For a uniform permutation length `k ≤ WIDE_MAX_K` the sort runs
-    /// as a radix sort over packed lexicographic keys at the width that
-    /// fits `k` (no `Permutation` is compared); mixed or longer lengths
-    /// fall back to a comparison sort with identical output.
+    /// For a uniform permutation length `k ≤ FIELD_MAX_K` (25) the sort
+    /// runs as a radix sort over packed lexicographic keys at the width
+    /// that fits `k` (no `Permutation` is compared); mixed or longer
+    /// lengths fall back to a comparison sort with identical output.
+    /// Lehmer-rank keys (k > 25) stay on the comparison sort: their
+    /// decode is an unrank per distinct permutation, which costs more
+    /// than the radix sort saves.
     pub fn sorted_counts(&self) -> Vec<(Permutation, u64)> {
-        let uniform_k = self.counts.keys().next().map(super::perm::Permutation::len).filter(|&k| {
-            k <= crate::compute::WIDE_MAX_K && self.counts.keys().all(|p| p.len() == k)
-        });
+        let uniform_k = self
+            .counts
+            .keys()
+            .next()
+            .map(super::perm::Permutation::len)
+            .filter(|&k| k <= FIELD_MAX_K && self.counts.keys().all(|p| p.len() == k));
         if let Some(k) = uniform_k {
             crate::for_packed_k!(k, K => self.sorted_counts_radix::<K>(k),
                 _ => self.sorted_counts_cmp())
@@ -169,9 +179,9 @@ impl PermutationCounter {
     }
 }
 
-/// Occurrence counter keyed on packed permutation codes (5 bits per
-/// element in a [`PackedKey`] word — `u64` for k ≤ 12, `u128` for
-/// k ≤ 25).
+/// Occurrence counter keyed on packed permutation keys (a [`PackedKey`]
+/// word — `u64` for k ≤ 12, `u128` for k ≤ 32; see [`crate::key`] for
+/// the encoding).
 ///
 /// The fast engine behind flat counting.  Inserts only append to a key
 /// buffer (no hashing, no per-insert cache miss — crucial when most
@@ -227,7 +237,8 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
         self.keys.len() as u64
     }
 
-    /// Sorts the key buffer (LSD radix over the `5·k` significant bits)
+    /// Sorts the key buffer (radix over the [`PackedKey::key_bits`]
+    /// significant bits)
     /// and produces the summary statistics.
     ///
     /// Allocates one scratch buffer; loops that finalize repeatedly
@@ -367,37 +378,6 @@ impl<K: PackedKey> PackedCountSummary<K> {
     fn decode(&self, key: K) -> Permutation {
         decode_packed(key, self.k)
     }
-}
-
-/// Packs a permutation into its 5-bits-per-element **lexicographic**
-/// key — position `p` lives in group `k-1-p`, so position 0 occupies
-/// the most significant occupied group and ascending integer order on
-/// keys of a fixed length coincides with [`Permutation`]'s
-/// lexicographic order.  The [`PackedPermutationCounter`] key layout,
-/// at either [`PackedKey`] width.
-///
-/// Public so key-caching consumers (the flat index searcher) can derive
-/// keys from stored permutations; panics are impossible for any valid
-/// `Permutation` with `len() ≤ K::MAX_K` in debug (longer inputs
-/// silently alias in release — callers dispatch widths first).
-pub fn pack_perm<K: PackedKey>(p: &Permutation) -> K {
-    debug_assert!(p.len() <= K::MAX_K, "permutation too long for this key width");
-    let k = p.len();
-    let mut key = K::ZERO;
-    for (pos, &site) in p.as_slice().iter().enumerate() {
-        // width: position pos goes in group k-1-pos; k ≤ MAX_K groups fit.
-        key |= K::from_elem(site) << K::elem_shift(k - 1 - pos);
-    }
-    key
-}
-
-/// Inverse of [`pack_perm`] for a known length `k`.
-pub(crate) fn decode_packed<K: PackedKey>(key: K, k: usize) -> Permutation {
-    let mut items = [0u8; crate::perm::MAX_K];
-    for (pos, slot) in items[..k].iter_mut().enumerate() {
-        *slot = key.field(k - 1 - pos);
-    }
-    Permutation::from_slice(&items[..k]).expect("packed key decodes to a permutation")
 }
 
 /// A fixed-universe distinct counter over permutation *ranks*: a bitmap of

@@ -21,11 +21,12 @@
 //!   *sorted* permutation run comes out as, with no hash table.
 //! * [`PackedCodebook`] — [`FlatCodebook`] for the packed counting
 //!   pipeline at either key width (`u64` for k ≤ 12, `u128` for
-//!   k ≤ 25): built straight off a [`PackedCountSummary`]'s sorted
+//!   k ≤ 32): built straight off a [`PackedCountSummary`]'s sorted
 //!   distinct keys — the lexicographic key layout makes the sorted key
 //!   rank *be* the codebook id, so no permutation is ever decoded.
 
-use crate::counter::{count_sorted_runs, decode_packed, pack_perm, PackedCountSummary};
+use crate::counter::{count_sorted_runs, PackedCountSummary};
+use crate::key::{decode_packed, pack_perm};
 // dplint: allow(hot-path-hash, reason = generic-path interner for arbitrary k; the
 // flat hot path uses FlatCodebook/PackedCodebook which never touch a hash table)
 use crate::fxhash::FxHashMap;

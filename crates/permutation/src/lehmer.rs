@@ -22,18 +22,29 @@ pub fn factorial(k: usize) -> u128 {
 
 /// Lexicographic rank of `p` among all permutations of its length.
 pub fn rank(p: &Permutation) -> u128 {
-    let a = p.as_slice();
-    let k = a.len();
-    let mut r: u128 = 0;
-    // used[e] marks elements already placed; smaller unused elements to the
-    // right of position i contribute (count) * (k-1-i)!.
-    let mut used = [false; MAX_K];
-    for (i, &e) in a.iter().enumerate() {
-        let smaller_unused = (0..e).filter(|&s| !used[s as usize]).count() as u128;
-        r += smaller_unused * factorial(k - 1 - i);
-        used[e as usize] = true;
+    rank_items(p.as_slice())
+}
+
+/// Lexicographic rank of the position-ordered elements `items`, a
+/// permutation of `0..items.len()` with `len ≤ MAX_K`, in O(k).
+///
+/// Horner over the Lehmer digits, `rank = rank·(k−p) + digit`, where
+/// position `p`'s digit counts the smaller elements not yet placed: the
+/// popcount of the unused-element mask below `items[p]`.  This is the
+/// packed-key encoder for k above the 5-bit field layout (see
+/// [`crate::key`]).
+#[inline]
+pub fn rank_items(items: &[u8]) -> u128 {
+    let k = items.len();
+    debug_assert!(k <= MAX_K, "k = {k} exceeds MAX_K = {MAX_K}");
+    let mut unused = (1u64 << k) - 1;
+    let mut rank = 0u128;
+    for (p, &e) in items.iter().enumerate() {
+        let bit = 1u64 << e;
+        rank = rank * (k - p) as u128 + u128::from((unused & (bit - 1)).count_ones());
+        unused ^= bit;
     }
-    r
+    rank
 }
 
 /// The permutation of `0..k` with lexicographic rank `r`.

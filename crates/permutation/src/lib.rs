@@ -9,9 +9,12 @@
 //! ## The width-generic packed pipeline
 //!
 //! The flat engine's counting path never materialises a [`Permutation`]:
-//! each database row becomes one **packed key** — a machine word holding
-//! the permutation in 5-bit fields ([`key::PackedKey`], sealed over `u64`
-//! for k ≤ [`PACKED_MAX_K`] = 12 and `u128` for k ≤ [`WIDE_MAX_K`] = 25).
+//! each database row becomes one **packed key** — a machine word whose
+//! integer order is the permutations' lexicographic order
+//! ([`key::PackedKey`], sealed over `u64` for k ≤ [`PACKED_MAX_K`] = 12
+//! and `u128` for k ≤ [`WIDE_MAX_K`] = [`MAX_K`] = 32).  [`key`] holds
+//! the encoding: 5-bit fields for k ≤ 25, the Lehmer rank
+//! ([`lehmer::rank_items`]) for 26 ≤ k ≤ 32, since 32! < 2¹¹⁸.
 //! Every stage is generic over that width and monomorphized once per
 //! workload by [`for_packed_k!`], so the per-row loops carry no width
 //! branches:
@@ -22,10 +25,10 @@
 //!    accumulator tile is register-resident, folds each site's rank
 //!    straight into the key lanes with no rank-array round-trip; tails
 //!    of `n mod 4` rows run the same path on a padded tile);
-//! 2. [`radix`] sorts the key buffer in at most `⌈5k/12⌉` LSD
-//!    12-bit-digit passes (5 for `u64` at k = 12, 11 for `u128` at
-//!    k = 25), with a per-word constant-digit skip so the high word of a
-//!    barely-wide workload costs nothing;
+//! 2. [`radix`] sorts the key buffer over its
+//!    [`key::PackedKey::key_bits`] significant bits — LSD 12-bit-digit
+//!    passes for `u64` (5 at k = 12), one MSD top-digit scatter plus
+//!    per-bucket sorts for wide keys;
 //! 3. [`counter::count_sorted_runs`] collapses the sorted runs into
 //!    occupancies ([`counter::PackedPermutationCounter`] /
 //!    [`counter::PackedCountSummary`] — the summary stores the distinct
@@ -46,10 +49,12 @@
 //! and everything downstream of it, including the float Huffman/entropy
 //! sums — is bit-identical to finalizing every key at once.
 //!
-//! The hash path ([`counter::PermutationCounter`]) survives as the
-//! reference oracle for arbitrary k and as the fallback for k > 25; the
-//! sorted-run pipeline is pinned bit-identical to it (including
-//! floating-point Huffman/entropy sums) by the survey equivalence suite.
+//! The hash path ([`counter::PermutationCounter`],
+//! [`compute::collect_counter_flat`]) is on no flat count or survey path:
+//! it counts the generic per-point path for non-vector metrics and is the
+//! reference oracle the sorted-run pipeline is pinned bit-identical to
+//! (including floating-point Huffman/entropy sums) by the survey
+//! equivalence suite.
 //!
 //! ## Everything else
 //!
@@ -102,11 +107,11 @@ pub use compute::{
     PACKED_MAX_K, WIDE_MAX_K,
 };
 pub use counter::{
-    count_sorted_runs, pack_perm, PackedCountSummary, PackedPermutationCounter, PermutationCounter,
+    count_sorted_runs, PackedCountSummary, PackedPermutationCounter, PermutationCounter,
 };
 pub use encoding::{Codebook, FlatCodebook, PackedCodebook};
 pub use huffman::{HuffmanCode, HuffmanPermStore};
-pub use key::PackedKey;
+pub use key::{pack_perm, PackedKey};
 pub use perm::{Permutation, PermutationError, MAX_K};
 pub use prefix::{prefix_footrule, PrefixPermutation};
 pub use radix::RadixSorter;

@@ -5,10 +5,10 @@
 //! and scan runs".  After the strip-mined distance kernels and the tiled
 //! ranking, that sort is a large slice of the 100k-point count — and the
 //! keys are far from arbitrary machine words: a permutation of `k` sites
-//! occupies only the low `5·k` bits of a [`PackedKey`] (5 bits per
-//! position, `u64` for k ≤ 12 and `u128` for k ≤ 25), so a comparison
-//! sort's `n log n` branchy compares can be replaced by at most
-//! `⌈5k/12⌉` branch-free counting-sort passes.
+//! occupies only the low [`PackedKey::key_bits`]`(k)` bits of its key
+//! (`5·k` for 5-bit fields, ⌈log₂ k!⌉ for the Lehmer ranks above
+//! k = 25), so a comparison sort's `n log n` branchy compares can be
+//! replaced by a few branch-free counting-sort passes.
 //!
 //! [`RadixSorter`] is that sort, generic over the key width:
 //!

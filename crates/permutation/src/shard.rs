@@ -206,7 +206,7 @@ mod tests {
                 let s = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ salt) >> 7;
                 items.rotate_left(s as usize % k.max(1));
                 let p = crate::perm::Permutation::from_slice(&items).unwrap();
-                crate::counter::pack_perm::<u64>(&p)
+                crate::key::pack_perm::<u64>(&p)
             })
             .collect()
     }

@@ -36,7 +36,7 @@ pub const SECTION_ALIGN: u64 = 64;
 /// adding a section is a format-version bump, never a silent extension.
 ///
 /// Since the PR 9 width-generic refactor, packed keys come in two
-/// widths (`u64` for k ≤ 12, `u128` for k ≤ 25), so a future section 5
+/// widths (`u64` for k ≤ 12, `u128` above), so a future section 5
 /// must carry a key-width byte (8 or 16) in its payload header and its
 /// element size follows that byte — it is **not** a fixed-stride u64
 /// array.  `FlatDistPermIndex::from_parts` currently rebuilds its

@@ -22,6 +22,14 @@ echo "== cargo build --workspace --release"
 # --workspace so the `distperm` binary exists for the serve smoke below.
 cargo build --workspace --release
 
+# The benchmark (perfbench/, its own workspace) builds the library crates
+# by path and calls their public entry points.  Its --tiny smoke runs
+# every workload, checks the metric names against BENCHMARK.json and
+# requires a --corrupt run to fail, so an API or output-format change
+# that breaks the benchmark fails here rather than in a benchmark run.
+echo "== cargo test --release --manifest-path perfbench/Cargo.toml (benchmark smoke)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test --workspace"
 cargo test --workspace -q
 

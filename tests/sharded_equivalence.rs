@@ -224,13 +224,12 @@ fn sharded_survey_bit_identical_across_u64_u128_cutover() {
     }
 }
 
-/// Sharded surveys across the u128 → hash seam.  k = 26 has no packed
-/// key to shard on and must fall back to the in-memory hash engine with
-/// identical output.
+/// Sharded surveys across the 5-bit field → Lehmer-rank seam of the
+/// u128 keys (k = 25 → 26), up to MAX_K = 32.
 #[test]
 fn sharded_survey_bit_identical_across_u128_hash_cutover() {
-    assert_eq!(WIDE_MAX_K, 25, "boundary test tracks the u128 packing cutoff");
-    for k in [24usize, 25, 26] {
+    assert_eq!(WIDE_MAX_K, 32, "boundary test tracks the u128 packing cutoff");
+    for k in [24usize, 25, 26, 28, 31, 32] {
         check_sharded_survey_k(k, 1600, 4);
     }
 }

@@ -4,9 +4,10 @@
 //! floating-point Huffman and entropy sums), the site ids, and the
 //! dimension estimate — for every vector metric, at any thread count,
 //! and on both sides of *both* packed-key cutovers: u64 → u128 at
-//! `PACKED_MAX_K` = 12 and u128 → hash at `WIDE_MAX_K` = 25.  The flat
-//! survey is the engine behind `distperm survey` on vector files, so
-//! any divergence here is a user-visible wrong answer.
+//! `PACKED_MAX_K` = 12 and 5-bit fields → Lehmer rank at k = 25 → 26,
+//! up to `WIDE_MAX_K` = `MAX_K` = 32.  The flat survey is the engine
+//! behind `distperm survey` on vector files, so any divergence here is
+//! a user-visible wrong answer.
 
 use distance_permutations::core::survey_flat::{
     survey_database_flat, survey_database_flat_parallel,
@@ -146,13 +147,13 @@ fn u64_u128_cutover_boundary_agrees_with_hash_path() {
     }
 }
 
-/// Regression for the k = 25 → 26 boundary: WIDE_MAX_K is the largest k
-/// any packed width handles; k = 26 falls back to the hash counter.
-/// Same bit-identity contract on both sides of the seam.
+/// Regression for the k = 25 → 26 boundary: u128 keys switch from 5-bit
+/// fields to Lehmer ranks there, up to WIDE_MAX_K = MAX_K = 32.  Same
+/// bit-identity contract on both sides of the seam.
 #[test]
 fn u128_hash_cutover_boundary_agrees_with_hash_path() {
-    assert_eq!(WIDE_MAX_K, 25, "boundary test tracks the u128 packing cutoff");
-    for k in [24usize, 25, 26] {
+    assert_eq!(WIDE_MAX_K, 32, "boundary test tracks the u128 packing cutoff");
+    for k in [24usize, 25, 26, 28, 31, 32] {
         check_cutover_k(k, 1600, 5);
     }
 }
