@@ -20,10 +20,10 @@
 //!   integer turbofish (proving exactness) and `mul_add` (fused
 //!   rounding) is banned; float reductions are written as explicit
 //!   sequential loops.
-//! * **`hot-path-hash`** — *determinism and speed of the flat engine.*
-//!   The flat kernel/radix/codebook modules replaced hash interning with
-//!   sorted-run scans (PR 5); `HashMap`-family containers must not creep
-//!   back into them.
+//! * **`hot-path-hash`** — *determinism and speed of the counting
+//!   engine.*  The counting, codebook and storage modules run on
+//!   radix-sorted packed keys instead of hash interning;
+//!   `HashMap`-family containers must not creep back into them.
 //! * **`panic-boundary`** — *protocol totality.* `distperm serve`
 //!   contains garbage, panics, and overload as reply lines; inside
 //!   `crates/index/src/serve/` only `isolate.rs` (the `catch_unwind`

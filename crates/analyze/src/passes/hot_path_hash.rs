@@ -1,12 +1,14 @@
-//! `hot-path-hash` — no hash/tree containers in the flat hot paths.
+//! `hot-path-hash` — no hash/tree containers in the counting, codebook
+//! and storage modules.
 //!
-//! PR 5 replaced hash interning with sorted-run flat codebooks
-//! (`FlatCodebook`/`PackedCodebook`) and radix-sorted packed counting;
-//! the scoped modules are exactly the ones that won that eviction.  A
-//! `HashMap` creeping back in costs the iteration-order determinism and
-//! the cache behaviour the flat engine's speed and bit-identity rest on.
-//! The generic-path interner (arbitrary k, off the hot path) keeps
-//! explicit waivers where it legitimately lives.
+//! Every production count and survey (flat and generic per-point), every
+//! codebook and both permutation stores run on radix-sorted packed keys
+//! and the sorted-key `PackedCodebook`; the scoped modules are exactly
+//! those.  A `HashMap` creeping back in costs the iteration-order
+//! determinism and the cache behaviour the engine's speed and
+//! bit-identity rest on.  The hash reference oracles live outside the
+//! scope (`counter.rs`), except the `Codebook` interner in `encoding.rs`,
+//! which keeps explicit waivers.
 
 use crate::source::{Diagnostic, SourceFile};
 
@@ -31,10 +33,10 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 tok,
                 true,
                 format!(
-                    "`{}` in a flat kernel/radix/codebook module; the hot paths use \
-                     sorted-run scans and flat codebooks — hash/tree containers were \
-                     deliberately evicted (waive only for the generic fallback path, \
-                     with a reason)",
+                    "`{}` in a counting/codebook/storage module; these paths use \
+                     sorted-run scans and packed codebooks — hash/tree containers were \
+                     deliberately evicted (waive only for a reference oracle, with a \
+                     reason)",
                     tok.text
                 ),
                 out,

@@ -45,11 +45,10 @@ pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
     "crates/datasets/src/rho.rs",
 ];
 
-/// Flat kernel / radix / codebook modules: the PR 5 sorted-run pipeline
-/// evicted hash containers from these hot paths — they must not creep
-/// back (the generic-path interner keeps explicit waivers).  PR 9's
-/// width-generic key module joins the scope: both packed widths sort and
-/// count through it.
+/// Counting, codebook and storage modules: every production count,
+/// survey, codebook and store runs on sorted packed keys, so hash
+/// containers must not creep back into them (the reference oracle's
+/// interner in `encoding.rs` keeps explicit waivers).
 pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/metric/src/batch.rs",
     "crates/permutation/src/key.rs",
@@ -58,6 +57,10 @@ pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/permutation/src/compute.rs",
     "crates/permutation/src/encoding.rs",
     "crates/permutation/src/shard.rs",
+    "crates/permutation/src/store.rs",
+    "crates/permutation/src/huffman.rs",
+    "crates/core/src/count.rs",
+    "crates/core/src/survey.rs",
     "crates/core/src/survey_flat.rs",
 ];
 

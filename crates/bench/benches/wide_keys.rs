@@ -14,8 +14,8 @@
 //! * the `survey` groups add the per-k survey tail on top — the
 //!   codebook-ordered frequency table (`lexicographic_counts`, a clone
 //!   of the occupancy scan under the lexicographic key order, vs the
-//!   hash counter's lexicographic `sorted_counts` over materialised
-//!   permutations) and the shared Huffman + entropy sums.  This is where
+//!   hash counter's lexicographic `sorted_counts`, a comparison sort over
+//!   materialised permutations) and the shared Huffman + entropy sums.  This is where
 //!   packed keys pay off hardest: the hash counter re-sorts its
 //!   permutations while the packed key order already *is* the codebook
 //!   order.

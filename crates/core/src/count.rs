@@ -1,31 +1,34 @@
 //! The measurement at the heart of the paper: |{Π_y : y ∈ database}|.
 //!
-//! Two equivalent engines are provided:
+//! Two front ends feed one packed counter, a
+//! [`dp_permutation::PackedCountSummary`]:
 //!
-//! * the generic per-point path ([`count_permutations`]) for any metric
-//!   over any point type (strings, trees, sparse vectors, …);
+//! * the generic per-point path ([`count_permutations`],
+//!   [`count_permutations_parallel`]) for any metric over any point type
+//!   (strings, trees, sparse vectors, …) — each point's permutation is
+//!   packed into a key ([`dp_permutation::collect_summary`]);
 //! * the flat batched path ([`count_permutations_flat_sharded`]) for
 //!   real-vector data in [`VectorSet`] storage — site-transposed, 4-wide
-//!   strip-mined distance kernels feeding one packed collector,
-//!   [`dp_permutation::ShardedCounter`] per worker (radix sort over the
-//!   significant key bits, run-length scan, summaries merged across
-//!   shards and workers), identical results, several times the
-//!   throughput.  This is the engine behind the Table 3 protocol in
-//!   [`crate::experiments`].  [`count_permutations_flat`] and
-//!   [`count_permutations_flat_parallel`] are the same engine with
+//!   strip-mined distance kernels fused with ranking and key packing,
+//!   feeding a [`dp_permutation::ShardedCounter`] per worker, several
+//!   times the throughput.  This is the engine behind the Table 3
+//!   protocol in [`crate::experiments`].  [`count_permutations_flat`]
+//!   and [`count_permutations_flat_parallel`] are the same engine with
 //!   `shard_rows = 0`.
 //!
-//! The flat path dispatches once per workload over the packed-key width
+//! Both dispatch once per workload over the packed-key width
 //! ([`CountEngine::for_k`]): `u64` keys for k ≤ 12 and `u128` keys for
 //! every k up to [`dp_permutation::MAX_K`] = 32 (5-bit fields to
-//! k = 25, the Lehmer rank above — see [`dp_permutation::key`]).  Both
-//! engines produce bit-identical reports.
+//! k = 25, the Lehmer rank above — see [`dp_permutation::key`]).  The
+//! summaries are equal for equal permutation multisets, so both paths
+//! produce bit-identical reports.
 
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
-use dp_permutation::compute::{collect_sharded_flat_parallel, PACKED_MAX_K};
-use dp_permutation::counter::collect_counter;
-use dp_permutation::{DistPermComputer, PackedCountSummary, PackedKey, PermutationCounter, MAX_K};
+use dp_permutation::compute::{
+    collect_sharded_flat_parallel, collect_summary, collect_summary_parallel, PACKED_MAX_K,
+};
+use dp_permutation::{PackedCountSummary, PackedKey, PermutationCounter, MAX_K};
 
 /// Summary of one counting run.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +42,8 @@ pub struct CountReport {
     pub mean_occupancy: f64,
 }
 
+/// The report of the hash reference oracle
+/// ([`dp_permutation::counter::collect_counter`]).
 impl From<&PermutationCounter> for CountReport {
     fn from(c: &PermutationCounter) -> Self {
         CountReport { distinct: c.distinct(), total: c.total(), mean_occupancy: c.mean_occupancy() }
@@ -88,13 +93,23 @@ impl CountEngine {
 /// Counts distinct distance permutations of `database` w.r.t. `sites`.
 ///
 /// Exactly `sites.len() * database.len()` metric evaluations.
+///
+/// # Panics
+/// Panics if `sites.len() > MAX_K`.
 pub fn count_permutations<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) -> CountReport {
-    CountReport::from(&collect_counter(metric, sites, database))
+    dp_permutation::for_packed_k!(
+        sites.len(),
+        K => CountReport::from(&collect_summary::<K, P, M>(metric, sites, database)),
+        _ => panic!("k = {} exceeds MAX_K = {MAX_K}", sites.len()),
+    )
 }
 
 /// Parallel version: splits the database across `threads` scoped workers
-/// and merges the per-chunk counters.  Deterministic: the merged distinct
-/// set is independent of the split.
+/// and merges the per-chunk summaries.  Deterministic: the report is
+/// independent of the split.
+///
+/// # Panics
+/// Panics if `sites.len() > MAX_K`.
 pub fn count_permutations_parallel<P, M>(
     metric: &M,
     sites: &[P],
@@ -105,36 +120,13 @@ where
     P: Sync,
     M: Metric<P> + Sync,
 {
-    let threads = threads.max(1).min(database.len().max(1));
-    if threads <= 1 || database.len() < 1024 {
-        return count_permutations(metric, sites, database);
-    }
-    let chunk = database.len().div_ceil(threads);
-    let mut counters: Vec<PermutationCounter> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = database
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    let mut computer = DistPermComputer::new(sites.len());
-                    let mut counter = PermutationCounter::new();
-                    for y in part {
-                        counter.insert(computer.compute(metric, sites, y));
-                    }
-                    counter
-                })
-            })
-            .collect();
-        for h in handles {
-            counters.push(h.join().expect("counting worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    let mut merged = PermutationCounter::new();
-    for c in &counters {
-        merged.merge(c);
-    }
-    CountReport::from(&merged)
+    dp_permutation::for_packed_k!(
+        sites.len(),
+        K => CountReport::from(&collect_summary_parallel::<K, P, M>(
+            metric, sites, database, threads,
+        )),
+        _ => panic!("k = {} exceeds MAX_K = {MAX_K}", sites.len()),
+    )
 }
 
 /// Counts distinct distance permutations over flat vector storage.
@@ -217,6 +209,7 @@ mod tests {
     use super::*;
     use dp_datasets::{uniform_unit_cube, uniform_unit_cube_flat};
     use dp_metric::{L2Squared, L2};
+    use dp_permutation::counter::collect_counter;
 
     #[test]
     fn report_fields() {
@@ -348,6 +341,56 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// The generic path against the hash oracle on one metric: k on both
+    /// packed-width seams (12/13 and 25/26), n around the parallel cut
+    /// (`PARALLEL_MIN_ROWS` = 1024), 1, 2 and 4 threads — every report
+    /// field equal, `mean_occupancy` to the bit.
+    fn assert_generic_matches_oracle<P: Sync, M: Metric<P> + Sync>(
+        metric: &M,
+        points: &[P],
+        tag: &str,
+    ) {
+        for k in [12usize, 13, 25, 26] {
+            let sites = &points[points.len() - k..];
+            for n in [1023usize, 1024, 1025] {
+                let db = &points[..n];
+                let expected = CountReport::from(&collect_counter(metric, sites, db));
+                let mut reports =
+                    vec![("sequential".to_string(), count_permutations(metric, sites, db))];
+                for threads in [1, 2, 4] {
+                    reports.push((
+                        format!("threads = {threads}"),
+                        count_permutations_parallel(metric, sites, db, threads),
+                    ));
+                }
+                for (engine, report) in reports {
+                    let at = format!("{tag}: k = {k}, n = {n}, {engine}");
+                    assert_eq!(report, expected, "{at}");
+                    assert_eq!(
+                        report.mean_occupancy.to_bits(),
+                        expected.mean_occupancy.to_bits(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generic_counts_match_the_hash_oracle_on_strings() {
+        let profiles = dp_datasets::dictionary::language_profiles();
+        let words = dp_datasets::dictionary::generate_words(&profiles[0], 1100, 17);
+        assert_generic_matches_oracle(&dp_metric::Levenshtein, &words, "levenshtein");
+        assert_generic_matches_oracle(&dp_metric::PrefixDistance, &words, "prefix");
+    }
+
+    #[test]
+    fn generic_counts_match_the_hash_oracle_on_a_tree_metric() {
+        let tree = dp_metric::tree::Tree::random(1100, 9, 23);
+        let vertices: Vec<usize> = tree.vertices().collect();
+        assert_generic_matches_oracle(&tree.metric(), &vertices, "tree");
     }
 
     #[test]

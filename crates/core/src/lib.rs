@@ -33,12 +33,15 @@
 //!   pass — bit-identical report, several times the throughput; this is
 //!   the engine the CLI uses for vector databases.
 //!
-//! Both the counting and survey measurements come in two equivalent
-//! engines: the generic per-point path for any metric over any point
-//! type, and the flat batched path for real-vector data.  The flat path
-//! is not an approximation — distances, counts and derived statistics
-//! are bit-for-bit equal (enforced by the workspace property suites),
-//! so callers may pick purely on storage layout.
+//! Both the counting and survey measurements have two front ends over
+//! one packed counter ([`dp_permutation::PackedCountSummary`]): the
+//! generic per-point path for any metric over any point type packs each
+//! point's permutation into a key, and the flat batched path for
+//! real-vector data fuses distances, ranking and packing per tile.  The
+//! flat path is not an approximation — distances, counts and derived
+//! statistics are bit-for-bit equal (enforced by the workspace property
+//! suites), so callers may pick purely on storage layout.  The hash
+//! `PermutationCounter` is a test oracle only.
 //!
 //! The flat engines count through one packed collector,
 //! [`dp_permutation::ShardedCounter`]: each worker finalizes its packed

@@ -13,19 +13,23 @@
 //! The `Display` rendering is a plain-text report, the thing a downstream
 //! user actually wants from the paper.
 //!
-//! This module is the generic per-point engine, usable with any metric
-//! over any point type.  Real-vector databases in flat storage should
-//! prefer [`crate::survey_flat::survey_database_flat`], which produces
-//! the identical `DatabaseSurvey` (bit for bit) through the batched
-//! kernels several times faster.
+//! This module is the generic per-point front end, usable with any metric
+//! over any point type: each per-k scan packs every point's permutation
+//! into the packed counter ([`dp_permutation::collect_summary`]).
+//! Real-vector databases in flat storage should prefer
+//! [`crate::survey_flat::survey_database_flat`], which feeds the same
+//! counter through the batched kernels several times faster.  Both
+//! engines end in one per-k tail (`build_ksurvey`) over the finalized
+//! summary, so they produce the identical `DatabaseSurvey`, bit for bit.
 
 use crate::count::CountReport;
 use crate::dimension::{estimate_dimension, min_euclidean_dimension, ReferenceProfile};
 use dp_metric::Metric;
-use dp_permutation::counter::collect_counter;
+use dp_permutation::compute::collect_summary;
 use dp_permutation::encoding::element_bits;
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::PermutationCounter;
+use dp_permutation::lehmer::rank_bits;
+use dp_permutation::{PackedCountSummary, PackedKey, MAX_K};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -116,44 +120,38 @@ where
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
         let site_ids = dp_datasets::vectors::choose_distinct_indices(database.len(), k, &mut rng);
         let sites: Vec<P> = site_ids.iter().map(|&i| database[i].clone()).collect();
-        let counter = collect_counter(metric, &sites, database);
-        let report = CountReport::from(&counter);
-        per_k.push(build_ksurvey(k, site_ids, report, &counter_freqs(&counter)));
+        per_k.push(dp_permutation::for_packed_k!(
+            k,
+            K => build_ksurvey(k, site_ids, &collect_summary::<K, P, M>(metric, &sites, database)),
+            _ => panic!("k = {k} exceeds MAX_K = {MAX_K}"),
+        ));
     }
     let dimension_estimate = dimension_estimate(&per_k, config);
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
 }
 
-/// The occupancy distribution of a counter, indexed by codebook id —
-/// i.e. ordered by the lexicographic rank of each distinct permutation.
-/// Both survey engines produce their frequency tables in this order, so
-/// the entropy/Huffman sums run over identical vectors (bit-identical
-/// results).
-///
-/// [`PermutationCounter::sorted_counts`] emits exactly this order (ids
-/// of a codebook interned from the sorted permutations are `0..N` in
-/// sequence), so no codebook — flat or hashed — needs to be built here.
-fn counter_freqs(counter: &PermutationCounter) -> Vec<u64> {
-    counter.sorted_counts().into_iter().map(|(_, c)| c).collect()
-}
-
-/// Assembles one [`KSurvey`] row from a counting result and its
-/// frequency table (the shared tail of both survey engines).
-pub(crate) fn build_ksurvey(
+/// Assembles one [`KSurvey`] row from a finalized counting summary —
+/// the shared per-k tail of both survey engines.  The frequency table is
+/// [`PackedCountSummary::lexicographic_counts`], indexed by codebook id
+/// (the lexicographic rank of each distinct permutation), so the
+/// entropy/Huffman sums run over identical vectors whichever engine
+/// counted.
+pub(crate) fn build_ksurvey<K: PackedKey>(
     k: usize,
     site_ids: Vec<usize>,
-    report: CountReport,
-    freqs: &[u64],
+    summary: &PackedCountSummary<K>,
 ) -> KSurvey {
-    let huffman = HuffmanCode::from_frequencies(freqs);
+    let report = CountReport::from(summary);
+    let freqs = summary.lexicographic_counts();
+    let huffman = HuffmanCode::from_frequencies(&freqs);
     KSurvey {
         k,
         site_ids,
         naive_bits: naive_permutation_bits(k),
         raw_bits: k as u32 * element_bits(k),
         codebook_bits: element_bits(report.distinct),
-        huffman_bits: huffman.mean_bits(freqs),
-        entropy_bits: entropy_bits(freqs),
+        huffman_bits: huffman.mean_bits(&freqs),
+        entropy_bits: entropy_bits(&freqs),
         min_euclidean_dim: min_euclidean_dimension(report.distinct, k as u32),
         report,
     }
@@ -169,13 +167,13 @@ pub(crate) fn dimension_estimate(per_k: &[KSurvey], config: &SurveyConfig) -> Op
     })
 }
 
-/// ⌈log₂ k!⌉: bits for an unrestricted permutation of k sites.
+/// ⌈log₂ k!⌉: bits for an unrestricted permutation of k sites — the
+/// exact integer [`rank_bits`] the Lehmer key encoder uses.
+///
+/// # Panics
+/// Panics if k! overflows `u128` (k > 34).
 pub fn naive_permutation_bits(k: usize) -> u32 {
-    let mut log = 0.0f64;
-    for i in 2..=k as u64 {
-        log += (i as f64).log2();
-    }
-    log.ceil() as u32
+    rank_bits(k)
 }
 
 impl fmt::Display for DatabaseSurvey {
@@ -213,6 +211,7 @@ mod tests {
     use super::*;
     use dp_datasets::vectors::{curve_embedded, uniform_unit_cube};
     use dp_metric::{Levenshtein, L2};
+    use dp_permutation::counter::collect_counter;
 
     #[test]
     fn survey_uniform_2d() {
@@ -254,6 +253,32 @@ mod tests {
         let s = survey_database(&Levenshtein, &words, &cfg);
         assert!(s.per_k[0].report.distinct >= 1);
         assert!(s.rho.is_finite());
+    }
+
+    #[test]
+    fn string_survey_matches_the_hash_oracle() {
+        // Each row's counts, Huffman and entropy bits against the hash
+        // counter's comparison-sorted frequency table for the same sites.
+        let profiles = dp_datasets::dictionary::language_profiles();
+        let words = dp_datasets::dictionary::generate_words(&profiles[1], 1025, 29);
+        let cfg =
+            SurveyConfig { ks: vec![4, 12, 13, 25, 26], rho_pairs: 500, ..Default::default() };
+        let survey = survey_database(&Levenshtein, &words, &cfg);
+        for row in &survey.per_k {
+            let sites: Vec<String> = row.site_ids.iter().map(|&i| words[i].clone()).collect();
+            let oracle = collect_counter(&Levenshtein, &sites, &words);
+            let freqs: Vec<u64> = oracle.sorted_counts().into_iter().map(|(_, c)| c).collect();
+            let code = HuffmanCode::from_frequencies(&freqs);
+            let k = row.k;
+            assert_eq!(row.report, CountReport::from(&oracle), "k = {k}");
+            assert_eq!(
+                row.report.mean_occupancy.to_bits(),
+                oracle.mean_occupancy().to_bits(),
+                "k = {k}"
+            );
+            assert_eq!(row.huffman_bits.to_bits(), code.mean_bits(&freqs).to_bits(), "k = {k}");
+            assert_eq!(row.entropy_bits.to_bits(), entropy_bits(&freqs).to_bits(), "k = {k}");
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! one packed collector, a [`dp_permutation::ShardedCounter`] per worker,
 //! at every k (`u64` keys for k ≤ [`dp_permutation::PACKED_MAX_K`],
 //! `u128` keys up to [`dp_permutation::MAX_K`]).
-//! Distances, counts, frequency tables and therefore **every field of the returned
-//! [`DatabaseSurvey`] are bit-for-bit identical** to the generic
-//! per-point path; the workspace property suite
+//! Both engines finalize the same [`dp_permutation::PackedCountSummary`]
+//! and share the per-k tail, so distances, counts, frequency tables and
+//! therefore **every field of the returned [`DatabaseSurvey`] are
+//! bit-for-bit identical** to the generic per-point path; the workspace
+//! property suite
 //! (`tests/survey_equivalence.rs`) enforces that, and the
 //! `survey` bench records the speedup (`BENCH_survey.json`).
 //!
@@ -22,7 +24,6 @@
 //! [`survey_database_flat`] and [`survey_database_flat_parallel`] are
 //! the same engine with `shard_rows = 0` (one shard per worker).
 
-use crate::count::CountReport;
 use crate::survey::{build_ksurvey, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig};
 use dp_datasets::VectorSet;
 use dp_metric::BatchDistance;
@@ -91,12 +92,9 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
 }
 
-/// One per-k measurement through the flat engine.  The
-/// distinct/occupancy scan is the sharded packed collector at the key
-/// width fitting `k`, and the frequency table comes from
-/// [`dp_permutation::PackedCountSummary::lexicographic_counts`]: both
-/// key encodings sort in lexicographic order, so it matches the generic
-/// path's codebook order exactly without decoding a single permutation.
+/// One per-k measurement through the flat engine: the sharded packed
+/// collector at the key width fitting `k`, then the per-k tail
+/// [`build_ksurvey`] both engines share.
 fn survey_one_k<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
@@ -111,11 +109,11 @@ fn survey_one_k<M: BatchDistance + Sync>(
     let flat = database.as_flat();
     dp_permutation::for_packed_k!(
         k,
-        K => {
-            let summary =
-                collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows);
-            build_ksurvey(k, site_ids, CountReport::from(&summary), &summary.lexicographic_counts())
-        },
+        K => build_ksurvey(
+            k,
+            site_ids,
+            &collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows),
+        ),
         _ => panic!("k = {k} exceeds MAX_K = {MAX_K}"),
     )
 }

@@ -19,7 +19,7 @@ use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor, QueryStats};
 use dp_metric::Metric;
-use dp_permutation::encoding::Codebook;
+use dp_permutation::encoding::PackedCodebook;
 use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
 use dp_permutation::{DistPermComputer, Permutation, PermutationCounter};
 
@@ -155,10 +155,12 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
     }
 
     /// A codebook over the stored permutations plus the id stream — the
-    /// paper's compact storage layout.
-    pub fn codebook(&self) -> (Codebook, Vec<u32>) {
-        let mut cb = Codebook::new();
-        let ids = self.perms.iter().map(|&p| cb.intern(p)).collect();
+    /// paper's compact storage layout.  Ids are lexicographic ranks of
+    /// the distinct permutations.
+    pub fn codebook(&self) -> (PackedCodebook<u128>, Vec<u32>) {
+        let (cb, _) = PackedCodebook::from_permutations(&self.perms);
+        let ids =
+            self.perms.iter().map(|p| cb.id_of(p).expect("codebook built from these")).collect();
         (cb, ids)
     }
 
@@ -495,7 +497,7 @@ mod tests {
         assert_eq!(ids.len(), idx.len());
         assert_eq!(cb.len(), idx.distinct_permutations());
         for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(cb.permutation(id), Some(&idx.permutations()[i]));
+            assert_eq!(cb.permutation(id), Some(idx.permutations()[i]));
         }
     }
 

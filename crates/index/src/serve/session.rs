@@ -15,7 +15,8 @@
 //! - query panics and deadline overruns are contained per query by the
 //!   engine and reported as `failed`/degraded reply lines;
 //! - EOF (even mid-batch) shuts the session down cleanly with a `bye`
-//!   summary line.
+//!   summary line; so does a read error other than undecodable input,
+//!   after one `error` reply.
 //!
 //! Reply grammar (one line per event, all counts in decimal):
 //!
@@ -266,15 +267,24 @@ fn read_input<R: BufRead>(
         let lineno = lineno + 1;
         let line = match line {
             Ok(line) => line,
-            // Undecodable input: report and keep reading — the protocol
-            // is line-delimited, so the next line resynchronises.
             Err(e) => {
                 let error = ProtocolError::BadNumber { what: "input line", token: e.to_string() };
-                match &mut open {
-                    Some(batch) => batch.errors.push((lineno, error)),
-                    None => admission.push_event(Event::LineError { line: lineno, error }),
+                // Undecodable input: report and keep reading — the line
+                // was consumed and the protocol is line-delimited, so the
+                // next line resynchronises.
+                if e.kind() == io::ErrorKind::InvalidData {
+                    match &mut open {
+                        Some(batch) => batch.errors.push((lineno, error)),
+                        None => admission.push_event(Event::LineError { line: lineno, error }),
+                    }
+                    continue;
                 }
-                continue;
+                // Any other read error (a reset connection, EIO on a dead
+                // terminal) can repeat forever without reaching EOF:
+                // report it once and end input as at EOF, so an open
+                // batch is reported as truncated.
+                admission.push_event(Event::LineError { line: lineno, error });
+                break;
             }
         };
         let frame = parser.parse(&line);
@@ -616,6 +626,118 @@ mod tests {
         assert!(replies.contains("bye batches=1 queries=2"), "{replies}");
         assert_eq!(summary.failed, 1);
         assert_eq!(summary.ok, 1);
+    }
+
+    /// Serves `data`, then fails every later read with `kind`.
+    struct FailingReader {
+        data: &'static [u8],
+        pos: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl io::Read for FailingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.data.len() {
+                return Err(io::Error::new(self.kind, "injected read failure"));
+            }
+            let n = buf.len().min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Accepts `budget` bytes, then fails every write with `BrokenPipe`.
+    struct BrokenPipeWriter {
+        budget: usize,
+    }
+
+    impl Write for BrokenPipeWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn serve_reader(reader: FailingReader) -> (String, SessionSummary) {
+        let index = small_index();
+        let mut out = Vec::new();
+        let summary = serve_session::<Vec<f64>, _, _, _>(
+            &index,
+            2,
+            io::BufReader::new(reader),
+            &mut out,
+            &SessionConfig::default(),
+            &FaultPlan::none(),
+        )
+        .expect("in-memory io");
+        (String::from_utf8(out).expect("utf8 replies"), summary)
+    }
+
+    #[test]
+    fn persistent_read_error_is_reported_once_and_ends_the_session() {
+        let reader = FailingReader {
+            data: b"begin b1\nknn 1 0.5 0.5\n",
+            pos: 0,
+            kind: io::ErrorKind::ConnectionReset,
+        };
+        let (replies, summary) = serve_reader(reader);
+        let read_errors: Vec<&str> =
+            replies.lines().filter(|l| l.starts_with("error line=3 ")).collect();
+        assert_eq!(read_errors.len(), 1, "{replies}");
+        assert!(read_errors[0].contains("injected read failure"), "{replies}");
+        // The open batch is reported as truncated, as at EOF.
+        assert!(replies.contains("error line=eof input ended inside batch \"b1\""), "{replies}");
+        let bye = format!(
+            "bye batches={} queries={} shed={} errors={}\n",
+            summary.batches,
+            summary.answered() + summary.failed,
+            summary.shed,
+            summary.parse_errors
+        );
+        assert!(replies.ends_with(&bye), "{replies}");
+        assert_eq!((summary.batches, summary.parse_errors), (0, 2));
+    }
+
+    #[test]
+    fn undecodable_line_is_reported_and_reading_continues() {
+        let reader = FailingReader {
+            data: b"\xff\xfe\nbegin b1\nknn 1 0.5 0.5\nend\n",
+            pos: 0,
+            kind: io::ErrorKind::UnexpectedEof,
+        };
+        let (replies, summary) = serve_reader(reader);
+        assert!(replies.contains("error line=1 "), "{replies}");
+        assert!(replies.contains("done b1 ok=1"), "{replies}");
+        // The trailing read error still ends the session once.
+        assert_eq!(replies.lines().filter(|l| l.starts_with("error line=5 ")).count(), 1);
+        assert_eq!((summary.batches, summary.ok, summary.parse_errors), (1, 1, 2));
+    }
+
+    #[test]
+    fn broken_pipe_mid_reply_returns_the_error() {
+        let index = small_index();
+        let input = "begin b1\nknn 2 0.5 0.5\nend\nbegin b2\nknn 1 0.1 0.1\nend\n";
+        // The budget covers the `ready` line and breaks inside the first
+        // batch's replies.
+        let mut out = BrokenPipeWriter { budget: 60 };
+        let result = serve_session::<Vec<f64>, _, _, _>(
+            &index,
+            2,
+            input.as_bytes(),
+            &mut out,
+            &SessionConfig::default(),
+            &FaultPlan::none(),
+        );
+        assert_eq!(result.map_err(|e| e.kind()).err(), Some(io::ErrorKind::BrokenPipe));
     }
 
     #[test]

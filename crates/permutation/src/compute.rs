@@ -6,7 +6,7 @@
 //! [`dp_metric::Distance`] is totally ordered the result is deterministic.
 
 use crate::counter::{PackedCountSummary, PackedPermutationCounter, PermutationCounter};
-use crate::key::{pack_items, PackedKey};
+use crate::key::{pack_items, pack_perm, PackedKey};
 use crate::perm::{Permutation, MAX_K};
 use crate::shard::ShardedCounter;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
@@ -137,7 +137,7 @@ pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
     db_rows: &[f64],
     threads: usize,
 ) -> Vec<Permutation> {
-    map_row_chunks(db_rows, sites.dim(), threads, |rows| {
+    map_chunks(db_rows, sites.dim(), threads, |rows| {
         database_permutations_flat(metric, sites, rows)
     })
     .concat()
@@ -170,50 +170,52 @@ pub fn collect_counter_flat_parallel<M: BatchDistance + Sync>(
     db_rows: &[f64],
     threads: usize,
 ) -> PermutationCounter {
-    let mut parts = map_row_chunks(db_rows, sites.dim(), threads, |rows| {
-        collect_counter_flat(metric, sites, rows)
-    })
-    .into_iter();
-    let mut merged = parts.next().expect("map_row_chunks yields at least one chunk");
+    let mut parts =
+        map_chunks(db_rows, sites.dim(), threads, |rows| collect_counter_flat(metric, sites, rows))
+            .into_iter();
+    let mut merged = parts.next().expect("map_chunks yields at least one chunk");
     for part in parts {
         merged.merge(&part);
     }
     merged
 }
 
-/// Databases below this many rows are scanned on the calling thread:
-/// spawning workers costs more than the scan.
+/// Databases below this many rows (or points) are scanned on the
+/// calling thread: spawning workers costs more than the scan.
 const PARALLEL_MIN_ROWS: usize = 1024;
 
-/// The one scoped-thread row split behind every parallel flat scan:
-/// cuts the row-major `db_rows` into at most `threads` contiguous
-/// chunks of whole rows, runs `work` on each chunk on its own scoped
-/// worker, and returns the results in row order.  Databases of fewer
-/// than [`PARALLEL_MIN_ROWS`] rows, or `threads <= 1`, run as one chunk
+/// The one scoped-thread split behind every parallel scan: cuts `items`
+/// into at most `threads` contiguous chunks of whole records, `stride`
+/// items each (`dim` floats for a flat row, 1 for a point slice), runs
+/// `work` on each chunk on its own scoped worker, and returns the
+/// results in record order.  Databases of fewer than
+/// [`PARALLEL_MIN_ROWS`] records, or `threads <= 1`, run as one chunk
 /// on the calling thread — so the result always has at least one
 /// element.
 ///
 /// # Panics
-/// Panics if `db_rows` is not a whole number of rows; re-raises a
+/// Panics if `items` is not a whole number of records; re-raises a
 /// worker's panic.
-pub(crate) fn map_row_chunks<T: Send>(
-    db_rows: &[f64],
-    dim: usize,
+pub(crate) fn map_chunks<I: Sync, T: Send>(
+    items: &[I],
+    stride: usize,
     threads: usize,
-    work: impl Fn(&[f64]) -> T + Sync,
+    work: impl Fn(&[I]) -> T + Sync,
 ) -> Vec<T> {
-    let dim = dim.max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
+    let stride = stride.max(1);
+    assert_eq!(items.len() % stride, 0, "database rows not a multiple of dim");
+    let n = items.len() / stride;
     let threads = threads.max(1).min(n.max(1));
     if threads <= 1 || n < PARALLEL_MIN_ROWS {
-        return vec![work(db_rows)];
+        return vec![work(items)];
     }
-    let rows_per = n.div_ceil(threads);
+    let per_chunk = n.div_ceil(threads);
     let work = &work;
     crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> =
-            db_rows.chunks(rows_per * dim).map(|rows| scope.spawn(move |_| work(rows))).collect();
+        let handles: Vec<_> = items
+            .chunks(per_chunk * stride)
+            .map(|chunk| scope.spawn(move |_| work(chunk)))
+            .collect();
         // A worker's panic resumes here with its own payload, so callers
         // see the same message as on the serial path.
         handles
@@ -221,7 +223,60 @@ pub(crate) fn map_row_chunks<T: Send>(
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     })
-    .expect("flat scan scope")
+    .expect("scan scope")
+}
+
+/// Folds per-chunk summaries, in chunk order, into one — the
+/// worker → worker merge of both parallel summary collectors.
+fn merge_summaries<K: PackedKey>(parts: Vec<PackedCountSummary<K>>) -> PackedCountSummary<K> {
+    let mut parts = parts.into_iter();
+    let mut summary = parts.next().expect("map_chunks yields at least one chunk");
+    for part in parts {
+        summary.merge(part);
+    }
+    summary
+}
+
+/// Counts the distance permutations of a point slice into a
+/// [`PackedCountSummary`] — the generic per-point counting path, for any
+/// [`Metric`] over any point type (strings, trees, sparse vectors, …).
+///
+/// Each point runs [`DistPermComputer`], its permutation is packed
+/// ([`crate::pack_perm`]) into the same packed counter the flat engine
+/// finalizes, so equal permutation multisets give equal summaries,
+/// whichever path produced them.
+///
+/// # Panics
+/// Panics if `sites.len()` exceeds [`MAX_K`] or the key width's
+/// capacity (`K::MAX_K`).
+pub fn collect_summary<K: PackedKey, P, M: Metric<P>>(
+    metric: &M,
+    sites: &[P],
+    database: &[P],
+) -> PackedCountSummary<K> {
+    let mut computer = DistPermComputer::new(sites.len());
+    let mut counter = PackedPermutationCounter::<K>::new(sites.len());
+    for y in database {
+        counter.insert_key(pack_perm(&computer.compute(metric, sites, y)));
+    }
+    counter.finalize()
+}
+
+/// Parallel [`collect_summary`]: one summary per contiguous point chunk
+/// on `threads` scoped workers, merged in point order.  The summary is
+/// independent of `threads`, bit for bit.
+///
+/// # Panics
+/// As [`collect_summary`]; re-raises a worker's panic.
+pub fn collect_summary_parallel<K: PackedKey, P: Sync, M: Metric<P> + Sync>(
+    metric: &M,
+    sites: &[P],
+    database: &[P],
+    threads: usize,
+) -> PackedCountSummary<K> {
+    merge_summaries(map_chunks(database, 1, threads, |points| {
+        collect_summary::<K, P, M>(metric, sites, points)
+    }))
 }
 
 /// Largest k whose permutations pack into a u64 key (5 bits per
@@ -705,7 +760,7 @@ pub fn collect_packed_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     db_rows: &[f64],
     threads: usize,
 ) -> PackedPermutationCounter<K> {
-    let parts = map_row_chunks(db_rows, sites.dim(), threads, |rows| {
+    let parts = map_chunks(db_rows, sites.dim(), threads, |rows| {
         packed_keys_flat::<K, M>(metric, sites, rows)
     });
     PackedPermutationCounter::from_keys(sites.k(), parts.concat())
@@ -735,19 +790,13 @@ pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
 ) -> PackedCountSummary<K> {
     let k = sites.k();
     let dim = sites.dim().max(1);
-    let mut parts = map_row_chunks(db_rows, dim, threads, |rows| {
+    merge_summaries(map_chunks(db_rows, dim, threads, |rows| {
         let rows_here = rows.len() / dim;
         let cap = if shard_rows == 0 { rows_here } else { shard_rows.min(rows_here) };
         let mut counter = ShardedCounter::<K>::new(k, cap.max(1));
         flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
         counter.finalize()
-    })
-    .into_iter();
-    let mut summary = parts.next().expect("map_row_chunks yields at least one chunk");
-    for part in parts {
-        summary.merge(part);
-    }
-    summary
+    }))
 }
 
 #[cfg(test)]

@@ -3,46 +3,43 @@
 //! This is the measurement the paper's experiments perform: enumerate the
 //! distance permutation of every database element and count the distinct
 //! values (`sort | uniq | wc` over the SISAP `build-distperm-*` output, §5).
-//! Two counters implement it:
+//! One counter implements it on every production path:
 //!
-//! * [`PermutationCounter`] — an Fx-hashed multiset for arbitrary
-//!   point streams; also tracks occupancy (how many elements map to each
-//!   permutation), which Table 2's analysis uses ("about 10 database
-//!   points per permutation").  It counts the generic per-point path
-//!   (string, tree and other non-vector metrics) and is the differential
-//!   oracle the flat engine is tested against; no flat count or survey
-//!   runs it.
-//! * [`PackedPermutationCounter`] — the sorted-run pipeline behind the
-//!   flat engine at every k ≤ [`crate::perm::MAX_K`]: inserts append a
-//!   packed key (a [`PackedKey`] word — `u64` for k ≤ 12, `u128` up to
-//!   k = 32; [`crate::key`] holds the encoding), [`finalize`]
-//!   (radix-)sorts the buffer once and [`count_sorted_runs`] turns the
-//!   sorted runs into occupancies.  No hashing anywhere on the hot path.
+//! * [`PackedPermutationCounter`] — inserts append a packed key (a
+//!   [`PackedKey`] word — `u64` for k ≤ 12, `u128` up to k = 32;
+//!   [`crate::key`] holds the encoding), [`finalize`] (radix-)sorts the
+//!   buffer once and [`count_sorted_runs`] turns the sorted runs into
+//!   occupancies.  No hashing anywhere.  The flat engine feeds it fused
+//!   rank+pack keys through [`crate::shard::ShardedCounter`]; the generic
+//!   per-point path (strings, trees, any [`Metric`]) feeds it packed
+//!   [`Permutation`]s through [`crate::compute::collect_summary`], which
+//!   [`count_distinct`] runs.
 //!
-//! The packed result is a [`PackedCountSummary`]: the distinct keys in
+//! The result is a [`PackedCountSummary`]: the distinct keys in
 //! ascending order plus one `u64` occupancy each — O(distinct) memory,
-//! so downstream consumers (codebooks, Huffman, the survey) never pay
-//! for n again.  Production counting reaches it through
-//! [`crate::shard::ShardedCounter`], which finalizes bounded shards
-//! with this counter and merges their summaries.
+//! so downstream consumers (the codebook, Huffman, the survey) never pay
+//! for n again.
+//!
+//! [`PermutationCounter`] — an Fx-hashed multiset over materialised
+//! [`Permutation`]s, with occupancy queries (Table 2's "about 10
+//! database points per permutation") — is the independent reference the
+//! packed pipeline is tested against: it shares no key packing, sorting
+//! or summary code with it.  [`collect_counter`] fills one per point.
 //!
 //! [`finalize`]: PackedPermutationCounter::finalize
 
-use crate::compute::DistPermComputer;
+use crate::compute::{collect_summary, DistPermComputer};
 use crate::fxhash::FxHashMap;
-use crate::key::{decode_packed, pack_perm, PackedKey, FIELD_MAX_K};
-use crate::perm::Permutation;
+use crate::key::{decode_packed, pack_perm, PackedKey};
+use crate::perm::{Permutation, MAX_K};
 use crate::radix::RadixSorter;
 use dp_metric::Metric;
 
 /// Run lengths of consecutive equal values in a sorted (or at least
 /// run-grouped) slice: `[3, 3, 3, 7, 9, 9]` → `[3, 1, 2]`.
 ///
-/// The shared scan under every sort-then-dedup consumer in this crate —
-/// [`PackedPermutationCounter::finalize`] derives occupancies from it,
-/// [`PermutationCounter::sorted_counts`] collapses its sorted key stream
-/// with it, and the flat codebooks in [`crate::encoding`] locate run
-/// starts through it.
+/// The run scan under [`PackedPermutationCounter::finalize`], which
+/// derives occupancies from it.
 pub fn count_sorted_runs<T: PartialEq>(sorted: &[T]) -> Vec<u64> {
     let mut runs = Vec::new();
     let mut start = 0usize;
@@ -112,42 +109,9 @@ impl PermutationCounter {
     /// `(permutation, occurrence count)` pairs sorted lexicographically —
     /// the order a codebook built from [`Self::sorted_permutations`]
     /// assigns ids in, so mapping this to its counts *is* the frequency
-    /// table both survey engines emit.
-    ///
-    /// For a uniform permutation length `k ≤ FIELD_MAX_K` (25) the sort
-    /// runs as a radix sort over packed lexicographic keys at the width
-    /// that fits `k` (no `Permutation` is compared); mixed or longer
-    /// lengths fall back to a comparison sort with identical output.
-    /// Lehmer-rank keys (k > 25) stay on the comparison sort: their
-    /// decode is an unrank per distinct permutation, which costs more
-    /// than the radix sort saves.
+    /// table the survey emits.  A plain comparison sort: as an oracle it
+    /// shares no key packing or radix sorting with the code it checks.
     pub fn sorted_counts(&self) -> Vec<(Permutation, u64)> {
-        let uniform_k = self
-            .counts
-            .keys()
-            .next()
-            .map(super::perm::Permutation::len)
-            .filter(|&k| k <= FIELD_MAX_K && self.counts.keys().all(|p| p.len() == k));
-        if let Some(k) = uniform_k {
-            crate::for_packed_k!(k, K => self.sorted_counts_radix::<K>(k),
-                _ => self.sorted_counts_cmp())
-        } else {
-            self.sorted_counts_cmp()
-        }
-    }
-
-    /// The radix arm of [`Self::sorted_counts`]: sort packed
-    /// (lexicographic-layout) keys of a uniform length `k` at width `K`.
-    fn sorted_counts_radix<K: PackedKey>(&self, k: usize) -> Vec<(Permutation, u64)> {
-        let mut pairs: Vec<(K, u64)> =
-            self.counts.iter().map(|(p, &c)| (pack_perm::<K>(p), c)).collect();
-        RadixSorter::<K>::new().sort_pairs(&mut pairs, K::key_bits(k));
-        pairs.into_iter().map(|(key, c)| (decode_packed(key, k), c)).collect()
-    }
-
-    /// The comparison-sort arm of [`Self::sorted_counts`] — identical
-    /// output, works for any mix of lengths.
-    fn sorted_counts_cmp(&self) -> Vec<(Permutation, u64)> {
         let mut v: Vec<(Permutation, u64)> = self.counts.iter().map(|(&p, &c)| (p, c)).collect();
         v.sort_unstable_by_key(|&(p, _)| p);
         v
@@ -183,7 +147,7 @@ impl PermutationCounter {
 /// word — `u64` for k ≤ 12, `u128` for k ≤ 32; see [`crate::key`] for
 /// the encoding).
 ///
-/// The fast engine behind flat counting.  Inserts only append to a key
+/// The counter behind every production count.  Inserts only append to a key
 /// buffer (no hashing, no per-insert cache miss — crucial when most
 /// permutations are distinct and a hash table would take a DRAM miss per
 /// probe); distinct-counting happens once, in [`Self::finalize`], as a
@@ -340,9 +304,8 @@ impl<K: PackedKey> PackedCountSummary<K> {
 
     /// Iterator over `(permutation, occurrence count)`, in
     /// lexicographic order.  The counterpart of
-    /// [`PermutationCounter::iter`] — the flat survey path uses it to
-    /// recover the occupancy distribution without re-hashing every
-    /// observation.
+    /// [`PermutationCounter::iter`], recovering the occupancy
+    /// distribution without re-hashing every observation.
     pub fn iter(&self) -> impl Iterator<Item = (Permutation, u64)> + '_ {
         self.keys
             .iter()
@@ -354,7 +317,7 @@ impl<K: PackedKey> PackedCountSummary<K> {
     /// distinct permutation — the order a codebook built from
     /// [`PermutationCounter::sorted_permutations`] assigns ids in, so a
     /// frequency table built from this vector is element-for-element
-    /// identical to the hash-counter path's.
+    /// identical to the hash oracle's [`PermutationCounter::sorted_counts`].
     ///
     /// The [`pack_perm`] layout puts position 0 in the most significant
     /// occupied group, so ascending key order *is* lexicographic order
@@ -364,7 +327,8 @@ impl<K: PackedKey> PackedCountSummary<K> {
         self.occupancies.clone()
     }
 
-    /// Expands into an ordinary [`PermutationCounter`] (same counts).
+    /// Expands into the hash oracle, a [`PermutationCounter`] with the
+    /// same counts — for differential tests.
     pub fn unpack(&self) -> PermutationCounter {
         let mut out = PermutationCounter::new();
         for (p, count) in self.iter() {
@@ -434,12 +398,21 @@ impl RankBitmap {
 
 /// Counts the distinct distance permutations of `database` w.r.t. `sites`.
 ///
-/// The headline operation of the paper: |{Π_y : y ∈ database}|.
+/// The headline operation of the paper: |{Π_y : y ∈ database}|, through
+/// [`collect_summary`] at the key width fitting `sites.len()`.
+///
+/// # Panics
+/// Panics if `sites.len() > MAX_K`.
 pub fn count_distinct<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) -> usize {
-    collect_counter(metric, sites, database).distinct()
+    crate::for_packed_k!(
+        sites.len(),
+        K => collect_summary::<K, P, M>(metric, sites, database).distinct(),
+        _ => panic!("k = {} exceeds MAX_K = {MAX_K}", sites.len()),
+    )
 }
 
-/// Runs the full scan and returns the counter (distinct count + occupancy).
+/// Runs the full scan into a hash [`PermutationCounter`] — the
+/// reference oracle for [`collect_summary`] (distinct count + occupancy).
 pub fn collect_counter<P, M: Metric<P>>(
     metric: &M,
     sites: &[P],
@@ -730,25 +703,5 @@ mod tests {
         let mut decoded = summary.permutations();
         decoded.sort_unstable();
         assert_eq!(decoded, hash.sorted_permutations());
-    }
-
-    #[test]
-    fn sorted_counts_uses_radix_above_the_u64_seam() {
-        // k = 14 permutations take the u128 radix arm of sorted_counts;
-        // the output must equal the comparison-sort arm's.
-        let mut c = PermutationCounter::new();
-        let mut items: Vec<u8> = (0..14u8).collect();
-        for round in 0..300usize {
-            items.rotate_left(round % 14);
-            if round % 3 == 0 {
-                items.swap(0, 7);
-            }
-            c.insert(Permutation::from_slice(&items).unwrap());
-        }
-        let radix = c.sorted_counts();
-        let expected = c.sorted_counts_cmp();
-        assert_eq!(radix, expected);
-        let perms: Vec<Permutation> = radix.iter().map(|&(p, _)| p).collect();
-        assert_eq!(perms, c.sorted_permutations());
     }
 }

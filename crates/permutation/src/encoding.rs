@@ -12,23 +12,24 @@
 //! element) so the two strategies can be compared byte-for-byte in the
 //! storage experiment (E13).
 //!
-//! Three codebook shapes, one id assignment where it matters:
+//! [`PackedCodebook`] is the codebook every production path builds: a
+//! sorted array of packed keys at either width (`u64` for k ≤ 12,
+//! `u128` for k ≤ 32) whose ids are lexicographic ranks, built straight
+//! off a [`PackedCountSummary`]'s sorted distinct keys — the
+//! lexicographic key layout makes the sorted key rank *be* the codebook
+//! id, so no permutation is ever decoded and no hash table is built.
+//! [`PackedCodebook::from_permutations`] does the same for a
+//! materialised permutation column (the stores and the `distperm`
+//! index).
 //!
-//! * [`Codebook`] — hash-interned, ids in first-seen order; the general
-//!   incremental form (any insertion stream, any k).
-//! * [`FlatCodebook`] — a sorted array, ids = lexicographic ranks,
-//!   lookup by binary search; what a codebook built by interning a
-//!   *sorted* permutation run comes out as, with no hash table.
-//! * [`PackedCodebook`] — [`FlatCodebook`] for the packed counting
-//!   pipeline at either key width (`u64` for k ≤ 12, `u128` for
-//!   k ≤ 32): built straight off a [`PackedCountSummary`]'s sorted
-//!   distinct keys — the lexicographic key layout makes the sorted key
-//!   rank *be* the codebook id, so no permutation is ever decoded.
+//! [`Codebook`] — hash-interned, ids in first-seen order, any insertion
+//! stream — is the reference oracle: interning the sorted distinct
+//! permutations into it gives exactly [`PackedCodebook`]'s ids.
 
-use crate::counter::{count_sorted_runs, PackedCountSummary};
+use crate::counter::{PackedCountSummary, PackedPermutationCounter};
 use crate::key::{decode_packed, pack_perm};
-// dplint: allow(hot-path-hash, reason = generic-path interner for arbitrary k; the
-// flat hot path uses FlatCodebook/PackedCodebook which never touch a hash table)
+// dplint: allow(hot-path-hash, reason = the Codebook reference oracle interns through a
+// hash map; every production codebook is a PackedCodebook, which never touches one)
 use crate::fxhash::FxHashMap;
 use crate::key::PackedKey;
 use crate::perm::{Permutation, PermutationError};
@@ -91,15 +92,17 @@ pub fn unpack(bytes: &[u8], k: usize) -> Result<Permutation, PermutationError> {
     Permutation::from_slice(&items)
 }
 
-/// A permutation → small-integer-id table (the paper's storage strategy).
+/// A hash-interned permutation → small-integer-id table: the paper's
+/// storage strategy in its most direct form, kept as the reference
+/// oracle for [`PackedCodebook`].
 ///
 /// Ids are assigned in first-seen order; [`Codebook::id_bits`] is the
 /// per-element storage cost once the codebook is built.  Build one from a
 /// database scan with `collect()` (it implements `FromIterator`).
 #[derive(Debug, Clone, Default)]
 pub struct Codebook {
-    // dplint: allow(hot-path-hash, reason = legacy generic interner kept for
-    // arbitrary-k correctness checks; flat kernels intern via radix-built tables)
+    // dplint: allow(hot-path-hash, reason = the reference oracle's interner; production
+    // codebooks are PackedCodebooks built from sorted packed keys)
     to_id: FxHashMap<Permutation, u32>,
     from_id: Vec<Permutation>,
 }
@@ -173,120 +176,18 @@ impl FromIterator<Permutation> for Codebook {
     }
 }
 
-/// A flat (sorted-array) permutation → id table — the hash-free codebook.
+/// The permutation → id table of every production path: the N distinct
+/// permutations as sorted packed keys, ids = lexicographic ranks, lookup
+/// by binary search.  Built straight off a [`PackedCountSummary`]'s
+/// sorted distinct keys with **no hash interning, no permutation
+/// decode, and no extra sort** — the [`pack_perm`] lexicographic layout
+/// makes the summary's ascending key order the id order.  Generic over
+/// the key width like the summary it is built from; `u128` covers every
+/// k ≤ [`crate::MAX_K`].
 ///
-/// Ids are **lexicographic ranks**: building one is a sort + run scan,
-/// and the result is id-for-id identical to interning
-/// [`crate::counter::PermutationCounter::sorted_permutations`] into a
-/// [`Codebook`] in order.  Lookup is a binary search over the sorted
-/// table (no hash table, no per-entry heap box), decoding is an array
-/// index.
-#[derive(Debug, Clone, Default)]
-pub struct FlatCodebook {
-    perms: Vec<Permutation>,
-}
-
-impl FlatCodebook {
-    /// Builds the codebook from an arbitrary permutation stream
-    /// (sorts a copy, collapses runs).
-    pub fn from_permutations(perms: &[Permutation]) -> Self {
-        Self::from_permutations_with_counts(perms).0
-    }
-
-    /// [`Self::from_permutations`], also returning the occurrence count
-    /// of each distinct permutation **indexed by id** — the frequency
-    /// table entropy/Huffman analyses want, produced by the same single
-    /// sorted-run scan ([`count_sorted_runs`]).
-    pub fn from_permutations_with_counts(perms: &[Permutation]) -> (Self, Vec<u64>) {
-        let mut sorted = perms.to_vec();
-        sorted.sort_unstable();
-        let counts = count_sorted_runs(&sorted);
-        let mut uniq = Vec::with_capacity(counts.len());
-        let mut pos = 0usize;
-        for &c in &counts {
-            uniq.push(sorted[pos]);
-            pos += c as usize;
-        }
-        (Self { perms: uniq }, counts)
-    }
-
-    /// Wraps an already strictly-sorted run of distinct permutations.
-    ///
-    /// # Panics
-    /// Panics if the input is not strictly ascending.
-    pub fn from_sorted_unique(perms: Vec<Permutation>) -> Self {
-        assert!(
-            perms.windows(2).all(|w| w[0] < w[1]),
-            "FlatCodebook input must be strictly sorted"
-        );
-        Self { perms }
-    }
-
-    /// The id of `p`: its lexicographic rank among the distinct
-    /// permutations, or `None` if absent.
-    pub fn id_of(&self, p: &Permutation) -> Option<u32> {
-        self.perms.binary_search(p).ok().map(|i| i as u32)
-    }
-
-    /// The permutation with a given id.
-    pub fn permutation(&self, id: u32) -> Option<&Permutation> {
-        self.perms.get(id as usize)
-    }
-
-    /// Number of distinct permutations.
-    pub fn len(&self) -> usize {
-        self.perms.len()
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.perms.is_empty()
-    }
-
-    /// Bits per element needed to store an id: ⌈log₂ len⌉.
-    pub fn id_bits(&self) -> u32 {
-        element_bits(self.len())
-    }
-
-    /// The distinct permutations in id (= lexicographic) order.
-    pub fn as_slice(&self) -> &[Permutation] {
-        &self.perms
-    }
-
-    /// Encodes a database of permutations as ids.
-    ///
-    /// # Panics
-    /// Panics if any permutation is absent.
-    pub fn encode_all(&self, perms: &[Permutation]) -> Vec<u32> {
-        perms.iter().map(|p| self.id_of(p).expect("permutation missing from codebook")).collect()
-    }
-
-    /// Decodes ids back to permutations.
-    ///
-    /// # Panics
-    /// Panics if any id is out of range.
-    pub fn decode_all(&self, ids: &[u32]) -> Vec<Permutation> {
-        ids.iter().map(|&id| *self.permutation(id).expect("id out of range")).collect()
-    }
-}
-
-impl FromIterator<Permutation> for FlatCodebook {
-    fn from_iter<I: IntoIterator<Item = Permutation>>(perms: I) -> Self {
-        let collected: Vec<Permutation> = perms.into_iter().collect();
-        Self::from_permutations(&collected)
-    }
-}
-
-/// The flat codebook of the packed counting pipeline: built straight
-/// off a [`PackedCountSummary`]'s sorted distinct keys with **no hash
-/// interning, no permutation decode, and no extra sort** — the
-/// [`pack_perm`] lexicographic layout makes the summary's ascending
-/// key order the id order.  Generic over the key width like the
-/// summary it is built from.
-///
-/// Ids are the same lexicographic ranks [`FlatCodebook`] assigns, so
-/// frequency tables indexed by either agree element for element (the
-/// survey equivalence suite pins this across engines).
+/// Ids equal those of a [`Codebook`] interned from the sorted distinct
+/// permutations, so frequency tables indexed by either agree element for
+/// element.
 #[derive(Debug, Clone)]
 pub struct PackedCodebook<K: PackedKey = u64> {
     k: usize,
@@ -300,6 +201,25 @@ impl<K: PackedKey> PackedCodebook<K> {
     /// Builds the codebook from a finalized counting summary.
     pub fn from_summary(summary: &PackedCountSummary<K>) -> Self {
         Self { k: summary.k(), keys: summary.distinct_keys().collect() }
+    }
+
+    /// Builds the codebook of a permutation column through the packed
+    /// counter, also returning the occurrence count of each distinct
+    /// permutation **indexed by id** — the frequency table entropy and
+    /// Huffman analyses want.  An empty column gives an empty codebook
+    /// of length 0.
+    ///
+    /// # Panics
+    /// Panics if the permutations differ in length, or their length
+    /// exceeds `K::MAX_K`.
+    pub fn from_permutations(perms: &[Permutation]) -> (Self, Vec<u64>) {
+        let mut counter =
+            PackedPermutationCounter::<K>::new(perms.first().map_or(0, Permutation::len));
+        for p in perms {
+            counter.insert(p);
+        }
+        let PackedCountSummary { k, keys, occupancies, .. } = counter.finalize();
+        (Self { k, keys }, occupancies)
     }
 
     /// Permutation length k.
@@ -341,14 +261,6 @@ impl<K: PackedKey> PackedCodebook<K> {
     /// Bits per element needed to store an id: ⌈log₂ len⌉.
     pub fn id_bits(&self) -> u32 {
         element_bits(self.len())
-    }
-
-    /// Expands into a [`FlatCodebook`] (identical ids), decoding each
-    /// distinct permutation once.
-    pub fn to_flat(&self) -> FlatCodebook {
-        FlatCodebook::from_sorted_unique(
-            self.keys.iter().map(|&key| decode_packed(key, self.k)).collect(),
-        )
     }
 }
 
@@ -531,54 +443,48 @@ mod tests {
         (0..40).map(|i| base[(i * 7) % base.len()]).collect()
     }
 
-    #[test]
-    fn flat_codebook_matches_hash_codebook_on_sorted_interning() {
-        let perms = sample_perms();
-        let flat = FlatCodebook::from_permutations(&perms);
-        let mut sorted = perms.clone();
+    /// The reference codebook: the sorted distinct permutations interned
+    /// in order, so its ids are lexicographic ranks.
+    fn sorted_codebook(perms: &[Permutation]) -> Codebook {
+        let mut sorted = perms.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let hash: Codebook = sorted.into_iter().collect();
-        assert_eq!(flat.len(), hash.len());
-        for p in &perms {
-            assert_eq!(flat.id_of(p), hash.id_of(p), "{p}");
-        }
-        for id in 0..flat.len() as u32 {
-            assert_eq!(flat.permutation(id), hash.permutation(id));
-        }
-        assert_eq!(flat.id_bits(), hash.id_bits());
-        assert_eq!(flat.id_of(&Permutation::identity(4)), Some(0));
-        assert!(flat.id_of(&Permutation::identity(5)).is_none());
+        sorted.into_iter().collect()
     }
 
     #[test]
     fn flat_codebook_counts_are_the_frequency_table() {
         let perms = sample_perms();
-        let (flat, counts) = FlatCodebook::from_permutations_with_counts(&perms);
-        assert_eq!(counts.len(), flat.len());
+        let (packed, counts) = PackedCodebook::<u64>::from_permutations(&perms);
+        let oracle = sorted_codebook(&perms);
+        assert_eq!(counts.len(), oracle.len());
         assert_eq!(counts.iter().sum::<u64>(), perms.len() as u64);
         for (id, &c) in counts.iter().enumerate() {
-            let p = flat.permutation(id as u32).unwrap();
+            let p = oracle.permutation(id as u32).unwrap();
+            assert_eq!(packed.permutation(id as u32).as_ref(), Some(p), "id {id}");
             let direct = perms.iter().filter(|q| *q == p).count() as u64;
             assert_eq!(c, direct, "id {id}");
         }
     }
 
     #[test]
-    fn flat_codebook_roundtrips_and_collects() {
+    fn packed_codebook_from_permutations_roundtrips() {
         let perms = sample_perms();
-        let flat: FlatCodebook = perms.iter().copied().collect();
-        let ids = flat.encode_all(&perms);
-        assert_eq!(flat.decode_all(&ids), perms);
-        assert!(FlatCodebook::default().is_empty());
+        let (packed, _) = PackedCodebook::<u128>::from_permutations(&perms);
+        let ids: Vec<u32> = perms.iter().map(|p| packed.id_of(p).unwrap()).collect();
+        let decoded: Vec<Permutation> =
+            ids.iter().map(|&id| packed.permutation(id).unwrap()).collect();
+        assert_eq!(decoded, perms);
+        let (empty, counts) = PackedCodebook::<u128>::from_permutations(&[]);
+        assert!(empty.is_empty() && counts.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "strictly sorted")]
-    fn flat_codebook_rejects_unsorted_input() {
-        let _ = FlatCodebook::from_sorted_unique(vec![
-            Permutation::from_slice(&[1, 0]).unwrap(),
-            Permutation::identity(2),
+    #[should_panic(expected = "length mismatch")]
+    fn packed_codebook_rejects_mixed_lengths() {
+        let _ = PackedCodebook::<u128>::from_permutations(&[
+            Permutation::identity(3),
+            Permutation::identity(4),
         ]);
     }
 
@@ -592,20 +498,18 @@ mod tests {
         }
         let summary = counter.finalize();
         let packed = PackedCodebook::from_summary(&summary);
-        let flat = FlatCodebook::from_permutations(&perms);
-        assert_eq!(packed.len(), flat.len());
-        assert_eq!(packed.id_bits(), flat.id_bits());
+        let oracle = sorted_codebook(&perms);
+        assert_eq!(packed.len(), oracle.len());
+        assert_eq!(packed.id_bits(), oracle.id_bits());
         for p in &perms {
-            assert_eq!(packed.id_of(p), flat.id_of(p), "{p}");
+            assert_eq!(packed.id_of(p), oracle.id_of(p), "{p}");
         }
         for id in 0..packed.len() as u32 {
-            assert_eq!(packed.permutation(id).as_ref(), flat.permutation(id));
+            assert_eq!(packed.permutation(id).as_ref(), oracle.permutation(id));
         }
         // Absent key / wrong length.
         assert!(packed.id_of(&Permutation::from_slice(&[2, 3, 0, 1]).unwrap()).is_none());
         assert!(packed.id_of(&Permutation::identity(3)).is_none());
-        // Full expansion agrees.
-        assert_eq!(packed.to_flat().as_slice(), flat.as_slice());
     }
 
     #[test]
@@ -627,15 +531,14 @@ mod tests {
             counter.insert(p);
         }
         let packed = PackedCodebook::from_summary(&counter.finalize());
-        let flat = FlatCodebook::from_permutations(&perms);
-        assert_eq!(packed.len(), flat.len());
+        let oracle = sorted_codebook(&perms);
+        assert_eq!(packed.len(), oracle.len());
         for p in &perms {
-            assert_eq!(packed.id_of(p), flat.id_of(p), "{p}");
+            assert_eq!(packed.id_of(p), oracle.id_of(p), "{p}");
         }
         for id in 0..packed.len() as u32 {
-            assert_eq!(packed.permutation(id).as_ref(), flat.permutation(id));
+            assert_eq!(packed.permutation(id).as_ref(), oracle.permutation(id));
         }
-        assert_eq!(packed.to_flat().as_slice(), flat.as_slice());
     }
 
     #[test]

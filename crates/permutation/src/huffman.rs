@@ -12,14 +12,13 @@
 //! better.
 //!
 //! [`HuffmanCode`] is a canonical Huffman code over `u32` symbols
-//! (codebook ids); [`HuffmanPermStore`] couples it with a [`Codebook`]
-//! into a sequential-access permutation store.  The trade-off against
-//! [`crate::store::PackedPermStore`] (random access, fixed width) is
-//! measured by the E13 storage experiment.
+//! (codebook ids); [`HuffmanPermStore`] couples it with a
+//! [`PackedCodebook`] into a sequential-access permutation store.  The
+//! trade-off against [`crate::store::PackedPermStore`] (random access,
+//! fixed width) is measured by the E13 storage experiment.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::counter::PermutationCounter;
-use crate::encoding::{Codebook, FlatCodebook};
+use crate::encoding::PackedCodebook;
 use crate::perm::Permutation;
 use crate::radix::RadixSorter;
 
@@ -82,21 +81,6 @@ impl HuffmanCode {
     pub fn from_frequencies(freqs: &[u64]) -> Self {
         let lengths = code_lengths(freqs);
         Self::from_lengths(lengths)
-    }
-
-    /// Builds the code for a [`PermutationCounter`]'s distribution, using
-    /// `codebook` ids as symbols.
-    ///
-    /// # Panics
-    /// Panics if the counter contains a permutation absent from the
-    /// codebook.
-    pub fn from_counter(counter: &PermutationCounter, codebook: &Codebook) -> Self {
-        let mut freqs = vec![0u64; codebook.len()];
-        for (p, &n) in counter.iter() {
-            let id = codebook.id_of(p).expect("counter permutation missing from codebook");
-            freqs[id as usize] = n;
-        }
-        Self::from_frequencies(&freqs)
     }
 
     fn from_lengths(lengths: Vec<u8>) -> Self {
@@ -329,7 +313,7 @@ fn code_lengths(freqs: &[u64]) -> Vec<u8> {
 /// scan — which is the price of beating the flat ⌈log₂ N⌉ layout.
 #[derive(Debug, Clone)]
 pub struct HuffmanPermStore {
-    codebook: FlatCodebook,
+    codebook: PackedCodebook<u128>,
     code: HuffmanCode,
     data: Vec<u8>,
     len_bits: usize,
@@ -340,18 +324,19 @@ impl HuffmanPermStore {
     /// Builds the store from a permutation stream (two passes: count,
     /// then encode).
     ///
-    /// The codebook is a [`FlatCodebook`] — ids are lexicographic ranks
-    /// from one sorted-run scan, no hash interning — and the frequency
-    /// table falls out of the same scan.  Any Huffman code built on a
-    /// permuted frequency table is equally optimal, so the per-stream
-    /// cost ([`Self::mean_bits`]) is the same as the old first-seen-id
-    /// layout; only the id numbering inside the stream differs.
+    /// The codebook is a `u128` [`PackedCodebook`] (every k ≤
+    /// [`crate::MAX_K`]) — ids are lexicographic ranks from the packed
+    /// counter's sorted keys, no hash interning — and the frequency table
+    /// comes out of the same count.
+    ///
+    /// # Panics
+    /// Panics if the permutations differ in length.
     pub fn from_permutations(perms: &[Permutation]) -> Self {
-        let (codebook, freqs) = FlatCodebook::from_permutations_with_counts(perms);
+        let (codebook, freqs) = PackedCodebook::from_permutations(perms);
         let code = HuffmanCode::from_frequencies(&freqs);
         let mut w = BitWriter::new();
         for p in perms {
-            let id = codebook.id_of(p).expect("interned");
+            let id = codebook.id_of(p).expect("in the codebook built from perms");
             code.encode_symbol(id, &mut w);
         }
         let (data, len_bits) = w.finish();
@@ -397,19 +382,18 @@ impl HuffmanPermStore {
             }
             produced += 1;
             let id = self.code.decode_symbol(&mut reader).expect("stream holds len symbols");
-            Some(*self.codebook.permutation(id).expect("id interned"))
+            Some(self.codebook.permutation(id).expect("id assigned at build"))
         })
     }
 
-    /// Heap bytes: encoded stream + codebook table + code lengths.
+    /// Heap bytes: encoded stream + codebook key table (16 B per
+    /// distinct permutation) + code lengths.
     ///
     /// Accounted like [`crate::store::PackedPermStore::heap_bytes`].  A
     /// *canonical* code is fully determined by its per-symbol lengths,
     /// so the code adds only one byte per distinct permutation.
     pub fn heap_bytes(&self) -> usize {
-        self.data.len()
-            + self.codebook.len() * std::mem::size_of::<Permutation>()
-            + self.codebook.len()
+        self.data.len() + self.codebook.len() * (std::mem::size_of::<u128>() + 1)
     }
 }
 

@@ -33,9 +33,8 @@
 //!    occupancies ([`counter::PackedPermutationCounter`] /
 //!    [`counter::PackedCountSummary`] — the summary stores the distinct
 //!    keys plus one `u64` occupancy each, never all n keys);
-//! 4. [`encoding::PackedCodebook`] / [`encoding::FlatCodebook`] assign
-//!    lexicographic codebook ids straight off the sorted distinct keys —
-//!    no hash table anywhere.
+//! 4. [`encoding::PackedCodebook`] assigns lexicographic codebook ids
+//!    straight off the sorted distinct keys — no hash table anywhere.
 //!
 //! Production counting runs steps 2–3 through one collector,
 //! [`ShardedCounter`] ([`shard`]): it finalizes shards of at most
@@ -49,12 +48,20 @@
 //! and everything downstream of it, including the float Huffman/entropy
 //! sums — is bit-identical to finalizing every key at once.
 //!
-//! The hash path ([`counter::PermutationCounter`],
-//! [`compute::collect_counter_flat`]) is on no flat count or survey path:
-//! it counts the generic per-point path for non-vector metrics and is the
-//! reference oracle the sorted-run pipeline is pinned bit-identical to
-//! (including floating-point Huffman/entropy sums) by the survey
-//! equivalence suite.
+//! The generic per-point path (strings, trees, any metric) counts
+//! through the same packed counter: [`compute::collect_summary`] packs
+//! each [`compute::DistPermComputer`] permutation into a key, and
+//! [`compute::collect_summary_parallel`] merges per-worker summaries
+//! with the flat engine's merge.  The stores ([`store`], [`huffman`])
+//! build their codebook the same way.  So one counter and one codebook
+//! serve every production path.
+//!
+//! The hash types ([`counter::PermutationCounter`],
+//! [`encoding::Codebook`], [`counter::collect_counter`],
+//! [`compute::collect_counter_flat`]) are on no production path: they
+//! are the independent reference oracles the packed pipeline is pinned
+//! bit-identical to (including floating-point Huffman/entropy sums) by
+//! the equivalence suites.
 //!
 //! ## Everything else
 //!
@@ -69,7 +76,7 @@
 //! * [`permdist`] — Kendall tau, Spearman footrule and Spearman rho
 //!   permutation distances (used by the `distperm`/iAESA index types for
 //!   candidate ordering);
-//! * [`encoding`] — bit-packed codes and the [`encoding::Codebook`]
+//! * [`encoding`] — bit-packed codes and the [`encoding::PackedCodebook`]
 //!   realising the paper's storage claim: once only N distinct permutations
 //!   occur, each element needs only ⌈log₂ N⌉ bits;
 //! * [`store`] — random-access physical layouts: [`store::RawPermStore`]
@@ -80,8 +87,8 @@
 //! * [`prefix`] — truncated permutations ([`prefix::PrefixPermutation`])
 //!   and the induced top-ℓ footrule, the practical CFN index form;
 //! * [`bits`] — the LSB-first bit I/O under all the packed layouts;
-//! * [`fxhash`] — a local FxHash-style hasher for the generic
-//!   (arbitrary-k, arbitrary-point) counting path.
+//! * [`fxhash`] — a local FxHash-style hasher for the hash oracles and
+//!   the off-path tallies (prefix orders, pivot selection).
 
 #![forbid(unsafe_code)]
 
@@ -102,14 +109,14 @@ pub mod store;
 
 pub use compute::{
     collect_counter_flat, collect_counter_flat_parallel, collect_packed_flat,
-    collect_packed_flat_parallel, collect_sharded_flat_parallel, database_permutations_flat,
-    database_permutations_flat_parallel, distance_permutation, packed_keys_flat, DistPermComputer,
-    PACKED_MAX_K, WIDE_MAX_K,
+    collect_packed_flat_parallel, collect_sharded_flat_parallel, collect_summary,
+    collect_summary_parallel, database_permutations_flat, database_permutations_flat_parallel,
+    distance_permutation, packed_keys_flat, DistPermComputer, PACKED_MAX_K, WIDE_MAX_K,
 };
 pub use counter::{
     count_sorted_runs, PackedCountSummary, PackedPermutationCounter, PermutationCounter,
 };
-pub use encoding::{Codebook, FlatCodebook, PackedCodebook};
+pub use encoding::{Codebook, PackedCodebook};
 pub use huffman::{HuffmanCode, HuffmanPermStore};
 pub use key::{pack_perm, PackedKey};
 pub use perm::{Permutation, PermutationError, MAX_K};

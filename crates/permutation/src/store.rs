@@ -8,16 +8,17 @@
 //! * [`RawPermStore`] — each permutation packed positionally at
 //!   `k·⌈log₂ k⌉` bits (the unrestricted O(nk log k)-bit layout the paper
 //!   credits to Chávez–Figueroa–Navarro);
-//! * [`PackedPermStore`] — a [`Codebook`] of the N distinct permutations
-//!   plus ⌈log₂ N⌉ bits per element (the paper's improvement; Θ(nd log k)
-//!   bits in d-dimensional Euclidean space by Corollary 8).
+//! * [`PackedPermStore`] — a [`PackedCodebook`] of the N distinct
+//!   permutations plus ⌈log₂ N⌉ bits per element (the paper's
+//!   improvement; Θ(nd log k) bits in d-dimensional Euclidean space by
+//!   Corollary 8).
 //!
 //! For the entropy-optimal but sequential-access layout, see
 //! [`crate::huffman`].  All three are compared byte-for-byte by the E13
 //! storage experiment and the `storage_formats` example.
 
 use crate::bits::{read_bits_at, BitWriter};
-use crate::encoding::{element_bits, Codebook};
+use crate::encoding::{element_bits, PackedCodebook};
 use crate::perm::{Permutation, MAX_K};
 
 /// Fixed-width positional store: `k·⌈log₂ k⌉` bits per permutation.
@@ -103,10 +104,12 @@ impl RawPermStore {
 /// This is the paper's storage strategy verbatim: "the bound can be
 /// achieved simply by storing the full permutations in a separate table
 /// and storing the index numbers into that table alongside the points"
-/// (§4).
+/// (§4).  The table is a `u128` [`PackedCodebook`] (every k ≤
+/// [`MAX_K`]), so ids are lexicographic ranks — the same ids the survey
+/// and [`crate::huffman::HuffmanPermStore`] assign.
 #[derive(Debug, Clone)]
 pub struct PackedPermStore {
-    codebook: Codebook,
+    codebook: PackedCodebook<u128>,
     data: Vec<u8>,
     bits: u32,
     len: usize,
@@ -114,12 +117,15 @@ pub struct PackedPermStore {
 
 impl PackedPermStore {
     /// Builds the codebook and packs ids in two passes over `perms`.
+    ///
+    /// # Panics
+    /// Panics if the permutations differ in length.
     pub fn from_permutations(perms: &[Permutation]) -> Self {
-        let codebook: Codebook = perms.iter().copied().collect();
+        let (codebook, _) = PackedCodebook::from_permutations(perms);
         let bits = codebook.id_bits();
         let mut w = BitWriter::with_capacity(perms.len() * bits as usize);
         for p in perms {
-            let id = codebook.id_of(p).expect("interned in first pass");
+            let id = codebook.id_of(p).expect("in the codebook built from perms");
             w.write(u64::from(id), bits);
         }
         let (data, _) = w.finish();
@@ -160,7 +166,7 @@ impl PackedPermStore {
     /// # Panics
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> Permutation {
-        *self.codebook.permutation(self.id_at(i)).expect("id interned at build")
+        self.codebook.permutation(self.id_at(i)).expect("id assigned at build")
     }
 
     /// Iterates over all stored permutations in insertion order.
@@ -169,18 +175,15 @@ impl PackedPermStore {
     }
 
     /// Borrows the codebook (e.g. to share with a Huffman store).
-    pub fn codebook(&self) -> &Codebook {
+    pub fn codebook(&self) -> &PackedCodebook<u128> {
         &self.codebook
     }
 
-    /// Heap bytes: packed ids + the codebook's permutation table.
-    ///
-    /// The codebook side counts the dense `from_id` table
-    /// (`N × size_of::<Permutation>()`); the hash index used for interning
-    /// is build-time scaffolding and excluded, matching how the paper
-    /// accounts storage (table + ids).
+    /// Heap bytes: packed ids + the codebook's key table (one 16-B
+    /// `u128` key per distinct permutation) — table + ids, the way the
+    /// paper accounts storage.
     pub fn heap_bytes(&self) -> usize {
-        self.data.len() + self.codebook.len() * std::mem::size_of::<Permutation>()
+        self.data.len() + self.codebook.len() * std::mem::size_of::<u128>()
     }
 }
 
