@@ -1,7 +1,7 @@
 //! `dplint` — run the workspace invariant passes and report findings.
 //!
 //! ```text
-//! dplint [--root <dir>] [--list] [pass …]
+//! dplint [--root <dir>] [--list] [--unused-pub] [pass …]
 //! ```
 //!
 //! With no arguments, lints the workspace containing the current
@@ -9,19 +9,27 @@
 //! finding.  Naming passes restricts the report to those passes
 //! (waiver-syntax errors always print).  Exit status: 0 clean, 1
 //! findings, 2 usage or I/O errors.
+//!
+//! `--unused-pub` prints the advisory report of
+//! [`dp_analyze::unused_pub`] instead, one `path:line:col name` line per
+//! public item that nothing outside its own file uses, and exits 0
+//! whatever it finds.
 
 use dp_analyze::passes::PASS_NAMES;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: dplint [--root <dir>] [--list] [--unused-pub] [pass ...]";
+
 fn usage() -> ExitCode {
-    eprintln!("usage: dplint [--root <dir>] [--list] [pass ...]");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut only: Vec<String> = Vec::new();
+    let mut unused_pub = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -36,9 +44,10 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("usage: dplint [--root <dir>] [--list] [pass ...]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
+            "--unused-pub" => unused_pub = true,
             pass if PASS_NAMES.contains(&pass) => only.push(pass.to_string()),
             other => {
                 eprintln!("dplint: unknown pass or flag `{other}` (try --list)");
@@ -66,6 +75,26 @@ fn main() -> ExitCode {
             }
         }
     };
+
+    if unused_pub {
+        return match dp_analyze::unused_pub::report(&root) {
+            Ok(items) => {
+                for item in &items {
+                    println!("{item}");
+                }
+                eprintln!(
+                    "dplint: {} public item{} used nowhere outside its own file (advisory)",
+                    items.len(),
+                    if items.len() == 1 { "" } else { "s" }
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("dplint: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
 
     let diagnostics = match dp_analyze::lint_workspace(&root) {
         Ok(d) => d,

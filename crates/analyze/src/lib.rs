@@ -76,6 +76,7 @@ pub mod lexer;
 pub mod manifest;
 pub mod passes;
 pub mod source;
+pub mod unused_pub;
 pub mod workspace;
 
 pub use source::{Diagnostic, SourceFile};

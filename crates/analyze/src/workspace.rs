@@ -79,16 +79,22 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
 
     let mut files = Vec::new();
     for dir in &src_dirs {
-        let mut paths = Vec::new();
-        walk_rs(dir, &mut paths)?;
-        for path in paths {
-            let text = std::fs::read_to_string(&path)?;
-            files.push(SourceFile::parse(&rel(&root, &path), &text));
-        }
+        files.extend(load_dir(&root, dir)?);
     }
 
     let roadmap = std::fs::read_to_string(root.join("ROADMAP.md")).ok();
     Ok(Workspace { root, files, manifests, lib_roots, roadmap })
+}
+
+/// Lexes every `.rs` file under `dir` (none if it does not exist), with
+/// paths relative to the workspace `root`.
+pub fn load_dir(root: &Path, dir: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut paths = Vec::new();
+    walk_rs(dir, &mut paths)?;
+    paths
+        .iter()
+        .map(|path| Ok(SourceFile::parse(&rel(root, path), &std::fs::read_to_string(path)?)))
+        .collect()
 }
 
 /// Walks upward from `start` to the nearest directory whose `Cargo.toml`

@@ -2,10 +2,11 @@
 //!
 //! Measures `serve::query_batch_parallel` on a [`FlatDistPermIndex`] at
 //! 1 vs N worker threads — the ROADMAP's "thread-parallel query serving"
-//! baseline.  One searcher session per worker, contiguous chunks,
-//! deterministic output; the property suite guarantees every thread
-//! count returns bit-identical answers, so this bench is purely about
-//! wall-clock.
+//! baseline.  Every serving entry point runs on one work-stealing
+//! scheduler: one searcher session per worker, queries claimed one at a
+//! time off a shared cursor, deterministic output; the property suite
+//! guarantees every thread count returns bit-identical answers, so this
+//! bench is purely about wall-clock.
 //!
 //! Record the baseline with:
 //! `CRITERION_JSON=BENCH_serving.json cargo bench -p dp-bench --bench serving`
@@ -53,11 +54,12 @@ fn bench_serving(c: &mut Criterion) {
 }
 
 /// Work-stealing vs contiguous chunking on a cost-skewed batch: one
-/// query in eight carries a full scan budget, the rest are cheap.
-/// Contiguous splits strand whole chunks behind the expensive queries;
-/// the atomic-cursor engine (chunk 1) rebalances.  Run single-threaded
-/// the two dispatchers are equivalent, so the gap only opens with real
-/// cores (see the single-core note above).
+/// query in eight carries a full scan budget, the rest are cheap.  Both
+/// rows run the same scheduler through `BatchOptions::chunk`: chunk 1
+/// steals one query per cursor bump, and chunk ⌈n/threads⌉ hands each
+/// worker one contiguous run, which strands whole runs behind the
+/// expensive queries.  Run single-threaded the two are equivalent, so
+/// the gap only opens with real cores (see the single-core note above).
 fn bench_serving_steal(c: &mut Criterion) {
     const STEAL_BATCH: usize = 128;
     const THREADS: usize = 4;

@@ -5,8 +5,10 @@
 //! [`dp_index::FlatDistPermIndex`] for `flatperm`, [`dp_index::BkTree`]
 //! for `bktree` on strings) builds the structure, and
 //! [`dp_index::serve::query_batch_parallel_approx`] fans the query file
-//! out over scoped worker threads — one searcher session per worker,
-//! deterministic output order.  Every answer carries its native
+//! out over work-stealing scoped worker threads — one searcher session
+//! per worker, deterministic output order.  The exact-only BK-tree goes
+//! through [`dp_index::serve::query_batch_parallel`] on the same
+//! scheduler.  Every answer carries its native
 //! metric-evaluation count, which the summary aggregates.
 //!
 //! `--load <store>` replaces the build: the index (database, metric and
@@ -23,14 +25,11 @@ use dp_index::serve::{
     query_batch_parallel, query_batch_parallel_approx, total_stats, ApproxRequest, Request,
     Response,
 };
-use dp_index::{
-    AnyIndex, ApproxSearcher, BkTree, FlatDistPermIndex, IndexSpec, PivotSelection, ProximityIndex,
-};
+use dp_index::{AnyIndex, BkTree, FlatDistPermIndex, IndexSpec, PivotSelection, ProximityIndex};
 use dp_metric::{
     Distance, F64Dist, Hamming, LInf, Levenshtein, Lp, Metric, PrefixDistance, L1, L2,
 };
 use dp_store::StoredIndex;
-use std::borrow::Borrow;
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
@@ -176,17 +175,11 @@ fn serve_loaded<M: dp_metric::BatchDistance + Sync>(
 ) -> Result<(), CliError> {
     let request = request_for(&options.mode, options.frac, |r| Ok(F64Dist::new(r)))?;
     let rows: Vec<&[f64]> = queries.rows().collect();
-    serve_batch::<[f64], _, _>(
-        index,
-        &rows,
-        request,
-        name,
-        Some(index.ordering_engine()),
-        true,
-        options,
-        load_start,
-        out,
-    )
+    let engine = Some(index.ordering_engine());
+    let header = Header { name, n: index.size(), ordering_engine: engine, budget: true };
+    serve_batch(&header, rows.len(), options, load_start, out, || {
+        query_batch_parallel_approx::<[f64], _, _>(index, &rows, request, options.threads)
+    })
 }
 
 fn request_for<D: Distance>(
@@ -227,23 +220,20 @@ where
         let index =
             FlatDistPermIndex::build(metric, data, k, PivotSelection::MaxMin, options.threads);
         let rows: Vec<&[f64]> = queries.rows().collect();
-        return serve_batch::<[f64], _, _>(
-            &index,
-            &rows,
-            request,
-            &name,
-            Some(index.ordering_engine()),
-            budget,
-            options,
-            build_start,
-            out,
-        );
+        let engine = Some(index.ordering_engine());
+        let header = Header { name: &name, n: index.size(), ordering_engine: engine, budget };
+        return serve_batch(&header, rows.len(), options, build_start, out, || {
+            query_batch_parallel_approx::<[f64], _, _>(&index, &rows, request, options.threads)
+        });
     }
     let build_start = Instant::now();
     let index = AnyIndex::build(spec, metric, data.to_nested(), PivotSelection::MaxMin)
         .map_err(|e| CliError::usage(e.to_string()))?;
     let nested = queries.to_nested();
-    serve_batch(&index, &nested, request, &name, None, budget, options, build_start, out)
+    let header = Header { name: &name, n: index.size(), ordering_engine: None, budget };
+    serve_batch(&header, nested.len(), options, build_start, out, || {
+        query_batch_parallel_approx(&index, &nested, request, options.threads)
+    })
 }
 
 fn serve_strings<M>(
@@ -276,94 +266,57 @@ where
             ApproxRequest::Knn { k, .. } => Request::Knn { k },
             ApproxRequest::Range { radius, .. } => Request::Range { radius },
         };
-        return serve_batch_exact(
-            &index,
-            &queries,
-            exact,
-            &name,
-            budget,
-            options,
-            build_start,
-            out,
-        );
+        let header = Header { name: &name, n: index.size(), ordering_engine: None, budget };
+        return serve_batch(&header, queries.len(), options, build_start, out, || {
+            query_batch_parallel(&index, &queries, exact, options.threads)
+        });
     }
     let build_start = Instant::now();
     let index = AnyIndex::build(spec, metric, data, PivotSelection::MaxMin)
         .map_err(|e| CliError::usage(e.to_string()))?;
-    serve_batch(&index, &queries, request, &name, None, budget, options, build_start, out)
+    let header = Header { name: &name, n: index.size(), ordering_engine: None, budget };
+    serve_batch(&header, queries.len(), options, build_start, out, || {
+        query_batch_parallel_approx(&index, &queries, request, options.threads)
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_batch<'i, P, Q, I>(
-    index: &'i I,
-    queries: &[Q],
-    request: ApproxRequest<I::Dist>,
-    name: &str,
-    ordering_engine: Option<&'static str>,
-    supports_budget: bool,
-    options: &SearchOptions,
-    build_start: Instant,
-    out: &mut dyn Write,
-) -> Result<(), CliError>
-where
-    P: ?Sized + Sync,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-    I::Searcher<'i>: ApproxSearcher<P>,
-{
-    let build_secs = build_start.elapsed().as_secs_f64();
-    write_header(out, name, supports_budget, options, index.size(), queries.len())?;
-    if let Some(engine) = ordering_engine {
-        writeln!(out, "ordering engine: {engine}")?;
-    }
-    let serve_start = Instant::now();
-    let responses = query_batch_parallel_approx(index, queries, request, options.threads);
-    let serve_secs = serve_start.elapsed().as_secs_f64();
-    write_report(out, options, &responses, queries.len(), build_secs, serve_secs)
-}
-
-/// Exact-only serving (the BK-tree path, which has no budget surface).
-#[allow(clippy::too_many_arguments)]
-fn serve_batch_exact<P, Q, I>(
-    index: &I,
-    queries: &[Q],
-    request: Request<I::Dist>,
-    name: &str,
-    supports_budget: bool,
-    options: &SearchOptions,
-    build_start: Instant,
-    out: &mut dyn Write,
-) -> Result<(), CliError>
-where
-    P: ?Sized + Sync,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-{
-    let build_secs = build_start.elapsed().as_secs_f64();
-    write_header(out, name, supports_budget, options, index.size(), queries.len())?;
-    let serve_start = Instant::now();
-    let responses = query_batch_parallel(index, queries, request, options.threads);
-    let serve_secs = serve_start.elapsed().as_secs_f64();
-    write_report(out, options, &responses, queries.len(), build_secs, serve_secs)
-}
-
-fn write_header(
-    out: &mut dyn Write,
-    name: &str,
-    supports_budget: bool,
-    options: &SearchOptions,
+/// What the output header says about the index being served.
+struct Header<'a> {
+    name: &'a str,
+    /// Database size.
     n: usize,
+    ordering_engine: Option<&'static str>,
+    /// Whether the index honours `--frac`.
+    budget: bool,
+}
+
+/// Writes the header, times `serve` over the batch of `queries` and
+/// writes the report.
+fn serve_batch<D: Distance>(
+    header: &Header<'_>,
     queries: usize,
+    options: &SearchOptions,
+    build_start: Instant,
+    out: &mut dyn Write,
+    serve: impl FnOnce() -> Vec<Response<D>>,
 ) -> Result<(), CliError> {
+    let build_secs = build_start.elapsed().as_secs_f64();
+    let Header { name, n, .. } = *header;
     writeln!(
         out,
         "index {name} over n = {n} ({queries} queries, {} threads, budget frac = {})",
         options.threads, options.frac,
     )?;
-    if options.frac < 1.0 && !supports_budget {
+    if options.frac < 1.0 && !header.budget {
         writeln!(out, "note: `{name}` is an exact index; --frac has no effect")?;
     }
-    Ok(())
+    if let Some(engine) = header.ordering_engine {
+        writeln!(out, "ordering engine: {engine}")?;
+    }
+    let serve_start = Instant::now();
+    let responses = serve();
+    let serve_secs = serve_start.elapsed().as_secs_f64();
+    write_report(out, options, &responses, queries, build_secs, serve_secs)
 }
 
 fn write_report<D: Distance>(

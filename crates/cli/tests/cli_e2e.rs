@@ -665,6 +665,49 @@ fn serve_smoke_pipes_a_batch_through_stdin() {
 }
 
 #[test]
+fn serve_reports_a_closed_reply_pipe_as_an_io_error() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::process::Stdio;
+
+    let dir = temp_dir("serve_broken_pipe");
+    let file = dir.join("db.vec");
+    let f = file.to_str().unwrap();
+    stdout(&distperm(&[
+        "generate", "--kind", "uniform", "--n", "500", "--dim", "2", "--seed", "12", "--out", f,
+    ]));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_distperm"))
+        .args(["serve", "--vectors", f, "--index", "distperm:6", "--threads", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut replies = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut line = String::new();
+    while !line.starts_with("ready ") {
+        line.clear();
+        assert!(replies.read_line(&mut line).expect("read reply") > 0, "no ready line");
+    }
+    assert!(line.starts_with("ready dim=2"), "{line}");
+    // The client goes away: every later reply hits a closed pipe.
+    drop(replies);
+    let mut input = child.stdin.take().expect("stdin");
+    for b in 0..3 {
+        write!(input, "begin b{b}\nknn 3 0.5 0.5\nrange 0.2 0.1 0.9\nend\n").expect("write batch");
+    }
+    // Closing stdin lets the session end and report the write error.
+    drop(input);
+    let output = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "one diagnostic line: {stderr}");
+    assert!(lines[0].starts_with("distperm: i/o error: Broken pipe"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn build_then_load_matches_in_process_search_exactly() {
     let dir = temp_dir("build_load");
     let db = dir.join("db.vec");

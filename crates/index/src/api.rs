@@ -11,8 +11,9 @@
 //!   (permutation computers, lower-bound arrays, candidate buffers), so a
 //!   stream of queries through one searcher performs no per-query
 //!   allocation beyond the result vector, and a searcher is `Send` — one
-//!   per worker thread is exactly the shape of
-//!   [`crate::serve::query_batch_parallel`].
+//!   per worker thread is exactly the shape of the serving scheduler
+//!   behind [`crate::serve::query_batch_parallel`] and
+//!   [`crate::serve::serve_resilient`].
 //!
 //! Every query returns `(Vec<Neighbor>, QueryStats)`: the field's cost
 //! model (metric evaluations per query) is counted natively by the

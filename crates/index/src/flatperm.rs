@@ -12,8 +12,9 @@
 //! The generic `DistPermIndex` remains the path for strings, trees and
 //! any non-`f64` point type.  Through the trait family this index is a
 //! `ProximityIndex<[f64]>`: queries are plain `&[f64]` rows, which is
-//! what makes it the natural engine under
-//! [`crate::serve::query_batch_parallel`].
+//! what makes it the natural engine under the serving entry points
+//! ([`crate::serve::query_batch_parallel`],
+//! [`crate::serve::serve_resilient`]).
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::distperm::OrderingKind;

@@ -24,13 +24,15 @@
 //!
 //! On top of the traits sit [`spec`] — build any index by name
 //! ([`IndexSpec`] → [`AnyIndex`]) — and [`serve`] — deterministic batch
-//! serving, sequentially or across scoped worker threads with one
-//! searcher per worker ([`serve::query_batch_parallel`]).
+//! serving through one work-stealing scheduler: inline, or across scoped
+//! worker threads that each keep one searcher
+//! ([`serve::query_batch_parallel`]).
 //!
 //! ## Serving & failure model
 //!
 //! The [`serve`] module also hosts the fault-tolerant serving subsystem
-//! behind `distperm serve` (see its module docs for the full contract):
+//! behind `distperm serve`, on the same scheduler (see its module docs
+//! for the full contract):
 //!
 //! * **isolation** — every query runs under `catch_unwind`
 //!   ([`serve::serve_resilient`]); a panicking query becomes a

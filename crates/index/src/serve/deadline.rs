@@ -1,14 +1,18 @@
-//! Deadline-aware graceful degradation and the per-query outcome
+//! Soft-deadline graceful degradation and the per-query outcome
 //! envelope.
 //!
-//! A batch may carry a **soft deadline**.  Workers check it before each
-//! query: once it has passed, remaining exact queries downgrade to
-//! budgeted approximate queries ([`crate::ApproxSearcher`]) at the
-//! batch's degrade fraction — the paper's §4 candidate-budget machinery
-//! repurposed as a principled degraded mode — instead of making a late
-//! batch later.  Every downgraded answer is flagged
-//! [`Outcome::Degraded`] with the fraction actually served, so callers
-//! can tell a full answer from a best-effort one.
+//! A batch may carry a **soft deadline**
+//! ([`crate::serve::BatchOptions::soft_deadline`]), counted from the
+//! moment [`crate::serve::serve_resilient`] starts the batch.  Workers
+//! check it before each query: once it has passed, remaining exact
+//! queries downgrade to budgeted approximate queries
+//! ([`crate::ApproxSearcher`]) at the batch's degrade fraction — the
+//! paper's §4 candidate-budget machinery repurposed as a principled
+//! degraded mode — instead of making a late batch later.  Every
+//! downgraded answer is flagged [`Outcome::Degraded`] with the fraction
+//! actually served, so callers can tell a full answer from a best-effort
+//! one.  This module holds the types of that contract: the per-query
+//! [`ServeRequest`], its degraded form, and the [`Outcome`] envelope.
 //!
 //! The deadline is *soft*: a query already running when it expires is
 //! not interrupted (metric evaluations are not cancellable), so a batch
@@ -17,31 +21,7 @@
 use crate::query::QueryStats;
 use crate::serve::isolate::QueryError;
 use crate::serve::{ApproxRequest, Request, Response};
-use std::time::{Duration, Instant};
-
-/// A batch's soft deadline: a fixed instant after which remaining
-/// queries degrade.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    at: Option<Instant>,
-}
-
-impl Deadline {
-    /// No deadline: queries never degrade.
-    pub fn unlimited() -> Self {
-        Self { at: None }
-    }
-
-    /// A deadline `soft` from now (`None` = unlimited).
-    pub fn after(soft: Option<Duration>) -> Self {
-        Self { at: soft.map(|d| Instant::now() + d) }
-    }
-
-    /// True iff the deadline exists and has passed.
-    pub fn expired(&self) -> bool {
-        self.at.is_some_and(|at| Instant::now() >= at)
-    }
-}
+use std::time::Duration;
 
 /// One query's request as the serving engine sees it: exact or
 /// explicitly budgeted.
@@ -59,14 +39,6 @@ pub enum ServeRequest<D> {
 }
 
 impl<D: Copy> ServeRequest<D> {
-    /// The scan fraction this request is asking for (exact = 1.0).
-    pub fn requested_frac(&self) -> f64 {
-        match self {
-            ServeRequest::Exact(_) => 1.0,
-            ServeRequest::Approx(r) => r.frac(),
-        }
-    }
-
     /// The degraded form of this request: the same query shape at
     /// `min(requested, degrade_frac)` — degradation never *increases* a
     /// client's budget.
@@ -143,11 +115,6 @@ pub struct BatchReport<D> {
 }
 
 impl<D> BatchReport<D> {
-    /// Number of queries that produced an answer (ok + degraded).
-    pub fn served(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.response().is_some()).count()
-    }
-
     /// Number of degraded answers.
     pub fn degraded(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_degraded()).count()
@@ -192,20 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_deadline_never_expires() {
-        assert!(!Deadline::unlimited().expired());
-        assert!(!Deadline::after(None).expired());
-    }
-
-    #[test]
-    fn zero_deadline_expires_immediately() {
-        assert!(Deadline::after(Some(Duration::ZERO)).expired());
-    }
-
-    #[test]
     fn degraded_request_never_raises_the_budget() {
         let exact: ServeRequest<u32> = ServeRequest::Exact(Request::Knn { k: 3 });
-        assert_eq!(exact.requested_frac(), 1.0);
         assert_eq!(exact.degraded(0.25), ApproxRequest::Knn { k: 3, frac: 0.25 });
 
         let tight: ServeRequest<u32> = ServeRequest::Approx(ApproxRequest::Knn { k: 3, frac: 0.1 });
@@ -225,7 +180,6 @@ mod tests {
             ],
             elapsed: Duration::ZERO,
         };
-        assert_eq!(report.served(), 2);
         assert_eq!(report.degraded(), 1);
         assert_eq!(report.failed(), 1);
         assert_eq!(report.total_stats(), QueryStats::new(6));

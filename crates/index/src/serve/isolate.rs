@@ -110,11 +110,6 @@ impl FaultPlan {
         self.panics.is_empty() && self.delays.is_empty()
     }
 
-    /// The query indices that will panic.
-    pub fn panic_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.panics.iter().copied()
-    }
-
     /// Fires the faults planned for query `index`: sleeps through any
     /// planned delay, then panics if a panic is planned.  Called inside
     /// the unwind guard.
@@ -149,7 +144,6 @@ mod tests {
     fn fault_plan_fires_only_planned_indices() {
         let plan = FaultPlan::none().panic_on(3).panic_on_all([5, 9]);
         assert!(!plan.is_empty());
-        assert_eq!(plan.panic_indices().collect::<Vec<_>>(), vec![3, 5, 9]);
         assert!(run_guarded(|| plan.fire(0)).is_ok());
         let err = run_guarded(|| plan.fire(3)).unwrap_err();
         assert!(err.contains("injected fault at query 3"), "{err}");
@@ -158,7 +152,6 @@ mod tests {
     #[test]
     fn empty_plan_is_default() {
         assert!(FaultPlan::none().is_empty());
-        assert!(FaultPlan::default().panic_indices().next().is_none());
     }
 
     #[test]

@@ -2,29 +2,30 @@
 //!
 //! The serving model is the one the trait family was shaped for: the
 //! index is built once and shared (`Sync`), each worker owns one
-//! [`Searcher`] session, and a batch of queries is partitioned into
-//! contiguous chunks — one per worker — so the output order is
-//! **deterministic** and [`query_batch_parallel`] returns bit-identical
-//! results (and stats) to sequential [`query_batch`].  That equivalence
+//! [`Searcher`] session, and one work-stealing scheduler
+//! ([`steal`]) spreads a batch over the workers.  Workers claim query
+//! indices off an atomic cursor, and results come back in query order,
+//! so [`query_batch_parallel`] returns bit-identical results (and stats)
+//! to sequential [`query_batch`] at any thread count.  That equivalence
 //! holds because a reused searcher answers exactly like a fresh one,
 //! which the cross-crate property suite enforces for every index type.
+//! The scheduler needs only [`ProximityIndex`], so exact-only indexes
+//! (VP-tree, BK-tree, linear scan) are served by it too.
 //!
 //! Workers are crossbeam-style scoped threads, so queries may borrow
 //! from the caller's stack and no `'static` bounds infect the API.
 //!
 //! # Serving & failure model
 //!
-//! The strict batch API above is one-shot: a panicking query or one
-//! slow skewed query takes the whole batch with it.  The submodules
-//! layer a fault-tolerant serving subsystem on top, used by
-//! `distperm serve`:
+//! The strict batch API above is one-shot: a panicking query takes the
+//! whole batch with it, and the caller sees that query's own panic
+//! payload at any thread count.  The submodules layer a fault-tolerant
+//! serving subsystem on the same scheduler, used by `distperm serve`:
 //!
-//! - [`steal`] — [`serve_resilient`]: the work-stealing engine.
-//!   Workers claim query indices off an atomic cursor (default chunk 1)
-//!   instead of contiguous splits, so a skewed budgeted batch cannot
-//!   strand workers idle; outcomes are merged back into query order, so
-//!   the zero-fault, no-deadline path stays **bit-identical** to
-//!   [`query_batch_parallel`] at any thread count.
+//! - [`steal`] — the scheduler and [`serve_resilient`], which serves
+//!   each query through the layers below; with no faults and no
+//!   deadline its answers are **bit-identical** to
+//!   [`query_batch_parallel`] at any thread count and steal chunk.
 //! - [`isolate`] — panic isolation: each query runs under
 //!   `catch_unwind`; a panic becomes a structured [`QueryError`] in
 //!   that query's slot and the worker's searcher is rebuilt.  The
@@ -47,15 +48,16 @@ pub mod protocol;
 pub mod session;
 pub mod steal;
 
-pub use deadline::{BatchReport, Deadline, Outcome, ServeRequest};
+pub use deadline::{BatchReport, Outcome, ServeRequest};
 pub use isolate::{FaultPlan, QueryError};
 pub use protocol::{Frame, LineParser, ProtocolError, QueryKind};
 pub use session::{serve_session, SessionConfig, SessionSummary};
-pub use steal::{query_batch_stealing, serve_resilient, BatchOptions};
+pub use steal::{serve_resilient, BatchOptions};
 
 use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::query::{Neighbor, QueryStats};
 use std::borrow::Borrow;
+use steal::steal_map;
 
 /// One batched query request, applied to every query point in the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,62 +132,6 @@ pub(crate) fn run_one_approx<P: ?Sized, S: ApproxSearcher<P>>(
     }
 }
 
-/// Splits `n` queries into at most `threads` contiguous chunks of
-/// near-equal size; returns the chunk length (0 for an empty batch).
-///
-/// The worker count is clamped to `max(1, min(threads, n))`: `threads`
-/// = 0 serves sequentially, and `threads` > n spawns exactly n workers —
-/// never an empty chunk, so oversubscribed batches cannot panic a
-/// serving worker (and, by the chunks-in-order construction, results
-/// stay bit-identical under the clamp).
-fn chunk_len(n: usize, threads: usize) -> usize {
-    let workers = threads.clamp(1, n.max(1));
-    n.div_ceil(workers)
-}
-
-/// The one serving engine behind all four public entry points: splits
-/// the batch into contiguous chunks, runs `serve_one` on each query
-/// through a per-worker searcher, and concatenates chunk results in
-/// order.  `threads <= 1` (or a single query) runs inline without
-/// spawning.
-fn serve_chunks<'i, P, Q, I, F>(
-    index: &'i I,
-    queries: &[Q],
-    threads: usize,
-    serve_one: F,
-) -> Vec<Response<I::Dist>>
-where
-    P: ?Sized,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-    F: Fn(&mut I::Searcher<'i>, &P) -> Response<I::Dist> + Sync,
-{
-    if threads <= 1 || queries.len() <= 1 {
-        let mut searcher = index.searcher();
-        return queries.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect();
-    }
-    let chunk = chunk_len(queries.len(), threads);
-    let serve_one = &serve_one;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    let mut searcher = index.searcher();
-                    part.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        // dplint: allow(panic-boundary, reason = "query_batch_parallel is the
-        // documented strict engine: a query panic propagates to the caller,
-        // exactly like the sequential path; serve_resilient is the isolated one")
-        handles.into_iter().flat_map(|h| h.join().expect("serving worker panicked")).collect()
-    })
-    // dplint: allow(panic-boundary, reason = "same strict-engine contract: the
-    // scope Err re-raises a worker panic the join above already surfaced")
-    .expect("serving scope failed")
-}
-
 /// Serves a batch of queries sequentially through one reused searcher.
 ///
 /// Queries are anything that borrows as the index's point type — e.g.
@@ -200,7 +146,7 @@ where
     Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
 {
-    serve_chunks(index, queries, 1, |searcher, q| run_one(searcher, q, request))
+    steal_map(index, queries, 1, 1, |searcher, _, q| run_one(searcher, q, request))
 }
 
 /// [`query_batch`] for budgeted queries.
@@ -215,15 +161,16 @@ where
     I: ProximityIndex<P>,
     I::Searcher<'i>: ApproxSearcher<P>,
 {
-    serve_chunks(index, queries, 1, |searcher, q| run_one_approx(searcher, q, request))
+    steal_map(index, queries, 1, 1, |searcher, _, q| run_one_approx(searcher, q, request))
 }
 
-/// Serves a batch of queries on `threads` scoped worker threads, one
+/// Serves a batch of queries on `threads` work-stealing workers, one
 /// searcher per worker, returning results in query order.
 ///
 /// Bit-identical to [`query_batch`] — same answers, same per-query
 /// stats — regardless of the thread count; `threads <= 1` runs
-/// sequentially without spawning.
+/// sequentially without spawning.  A panicking query panics the caller
+/// with that query's own payload.
 pub fn query_batch_parallel<P, Q, I>(
     index: &I,
     queries: &[Q],
@@ -235,7 +182,7 @@ where
     Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
 {
-    serve_chunks(index, queries, threads, |searcher, q| run_one(searcher, q, request))
+    steal_map(index, queries, threads, 1, |searcher, _, q| run_one(searcher, q, request))
 }
 
 /// [`query_batch_parallel`] for budgeted queries.
@@ -251,7 +198,7 @@ where
     I: ProximityIndex<P>,
     I::Searcher<'i>: ApproxSearcher<P>,
 {
-    serve_chunks(index, queries, threads, |searcher, q| run_one_approx(searcher, q, request))
+    steal_map(index, queries, threads, 1, |searcher, _, q| run_one_approx(searcher, q, request))
 }
 
 #[cfg(test)]
@@ -367,21 +314,61 @@ mod tests {
         }
     }
 
+    /// An exact-only index whose every k-NN query panics with its own
+    /// message.
+    struct PanickingIndex;
+
+    impl Searcher<[f64]> for PanickingIndex {
+        type Dist = u32;
+
+        fn knn(&mut self, _: &[f64], k: usize) -> Response<u32> {
+            panic!("panicking index refuses k = {k}")
+        }
+
+        fn range(&mut self, _: &[f64], _: u32) -> Response<u32> {
+            (Vec::new(), QueryStats::new(0))
+        }
+    }
+
+    impl ProximityIndex<[f64]> for PanickingIndex {
+        type Dist = u32;
+        type Searcher<'s> = PanickingIndex;
+
+        fn size(&self) -> usize {
+            0
+        }
+
+        fn searcher(&self) -> PanickingIndex {
+            PanickingIndex
+        }
+    }
+
     #[test]
-    fn chunk_len_never_produces_empty_chunks() {
-        for n in [0usize, 1, 2, 5, 64] {
-            for threads in [0usize, 1, 2, n, n + 1, 1000] {
-                let chunk = chunk_len(n, threads);
-                if n == 0 {
-                    assert_eq!(chunk, 0);
-                    continue;
-                }
-                assert!(chunk >= 1, "n={n} threads={threads}");
-                // At most `threads.max(1)` chunks, each non-empty.
-                let chunks = n.div_ceil(chunk);
-                assert!(chunks <= threads.max(1).min(n));
-                assert!(chunk * chunks >= n);
-            }
+    fn strict_paths_resume_the_query_panic_payload() {
+        // A panicking query reaches the caller with the index's own
+        // message at every thread count, not as a generic worker failure.
+        use crate::serve::isolate::panic_message;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pts = random_points(60, 2, 14);
+        let idx = DistPermIndex::build(L2, pts, 4, PivotSelection::MaxMin);
+        let queries = random_points(6, 2, 15);
+        let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        for threads in [1usize, 2, 4] {
+            let exact = catch_unwind(AssertUnwindSafe(|| {
+                query_batch_parallel(&PanickingIndex, &rows, Request::Knn { k: 3 }, threads)
+            }));
+            let payload = exact.expect_err("the index panics");
+            assert_eq!(
+                panic_message(payload),
+                "panicking index refuses k = 3",
+                "threads {threads}"
+            );
+            let approx = catch_unwind(AssertUnwindSafe(|| {
+                let request = ApproxRequest::Knn { k: 3, frac: 2.0 };
+                query_batch_parallel_approx(&idx, &queries, request, threads)
+            }));
+            let payload = approx.expect_err("frac = 2 panics");
+            assert_eq!(panic_message(payload), "frac must be in [0,1], got 2", "threads {threads}");
         }
     }
 

@@ -1,35 +1,40 @@
-//! The resilient work-stealing batch engine.
+//! The work-stealing batch scheduler behind every serving entry point.
 //!
-//! [`serve_resilient`] is the serving loop's workhorse: it dispatches a
-//! batch of (possibly heterogeneous) queries to warm per-worker
-//! [`crate::Searcher`] sessions via an **atomic-cursor** work queue
-//! instead of the contiguous splits of
-//! [`crate::serve::query_batch_parallel`].  Workers claim the next
-//! `steal_chunk` query indices with one `fetch_add` and go back for
-//! more, so a skewed batch — budgeted queries whose per-query cost
-//! varies wildly (see "Cardinality of Balls in Permutation Spaces",
-//! Dinu & Zara, on why candidate-set sizes spread so far) — cannot
-//! strand a worker idle behind a statically assigned heavy chunk.
+//! `steal_map` is the only code in the serving stack that splits a
+//! batch across threads.  Workers claim the next `chunk` query indices
+//! with one atomic add on a shared cursor and go back for more, so a
+//! skewed batch — budgeted queries whose per-query cost varies wildly
+//! (see "Cardinality of Balls in Permutation Spaces", Dinu & Zara, on
+//! why candidate-set sizes spread so far) — cannot strand a worker idle
+//! behind a statically assigned heavy share.  Each worker keeps one warm
+//! [`crate::Searcher`] session, and results come back in query order
+//! whichever worker served them.  Chunk 1 gives the best balance; a
+//! chunk of `queries.div_ceil(threads)` is contiguous chunking.
 //!
-//! Robustness layers applied per query, in order:
+//! The strict entry points ([`crate::serve::query_batch`] and its
+//! parallel and budgeted forms) serve each query plainly: a panicking
+//! query takes the batch down, and the caller sees that query's own
+//! panic.  [`serve_resilient`] serves each query through the robustness
+//! layers, in order:
 //!
-//! 1. **deadline** ([`Deadline`]): expired ⇒ the request downgrades to
-//!    its budgeted form at the batch's degrade fraction;
+//! 1. **deadline**: once the batch's soft deadline has passed, the
+//!    request downgrades to its budgeted form at the batch's degrade
+//!    fraction;
 //! 2. **panic isolation** ([`super::isolate`]): the query (and any
 //!    injected fault) runs under `catch_unwind`; a panic becomes
 //!    [`Outcome::Failed`] and the worker's searcher is rebuilt;
-//! 3. **determinism**: outcomes land in query order regardless of which
-//!    worker served them, so the zero-fault, no-deadline path returns
-//!    responses bit-identical to [`crate::serve::query_batch_parallel`]
-//!    at any thread count and any chunk size.
+//! 3. **determinism**: the scheduler's query-order merge makes the
+//!    zero-fault, no-deadline path bit-identical to
+//!    [`crate::serve::query_batch_parallel`] at any thread count and any
+//!    chunk size.
 
 use crate::api::{ApproxSearcher, ProximityIndex};
-use crate::serve::deadline::{BatchReport, Deadline, Outcome, ServeRequest};
+use crate::serve::deadline::{BatchReport, Outcome, ServeRequest};
 use crate::serve::isolate::{run_guarded, FaultPlan, QueryError};
-use crate::serve::{run_one, run_one_approx, Request, Response};
+use crate::serve::{run_one, run_one_approx};
 use std::borrow::Borrow;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tuning and policy knobs for one resiliently served batch.
@@ -87,53 +92,76 @@ impl BatchOptions {
     }
 }
 
-/// Per-batch serving policy shared (immutably) by every worker.
-struct BatchContext<'b> {
-    deadline: Deadline,
-    degrade_frac: f64,
-    faults: &'b FaultPlan,
-}
-
-/// Serves one query with every robustness layer applied; never panics
-/// for query-level failures (index-level failures — a searcher that
-/// cannot even be *rebuilt* — still propagate, because nothing can be
-/// served without a session).
-fn run_resilient_one<'i, P, I>(
-    ctx: &BatchContext<'_>,
+/// Serves every query of a batch with `serve(searcher, i, query)`, `i`
+/// being the query's position in the batch, on `threads` work-stealing
+/// workers and returns the results in query order.
+///
+/// The worker count is clamped to `[1, queries]`; one worker runs inline
+/// without spawning.  Workers claim `chunk` indices (0 is treated as 1)
+/// per cursor bump and keep one searcher each.  A panic in `serve` is
+/// resumed on the caller's thread with its original payload.
+pub(crate) fn steal_map<'i, P, Q, I, T, F>(
     index: &'i I,
-    searcher: &mut I::Searcher<'i>,
-    i: usize,
-    query: &P,
-    request: ServeRequest<I::Dist>,
-) -> Outcome<I::Dist>
+    queries: &[Q],
+    threads: usize,
+    chunk: usize,
+    serve: F,
+) -> Vec<T>
 where
     P: ?Sized,
+    Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
-    I::Searcher<'i>: ApproxSearcher<P>,
+    T: Send,
+    F: Fn(&mut I::Searcher<'i>, usize, &P) -> T + Sync,
 {
-    let degraded = ctx.deadline.expired().then(|| request.degraded(ctx.degrade_frac));
-    let attempt = run_guarded(|| {
-        if !ctx.faults.is_empty() {
-            ctx.faults.fire(i);
+    let n = queries.len();
+    let workers = threads.clamp(1, n.max(1));
+    let chunk = chunk.max(1);
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut searcher = index.searcher();
+        let mut out = Vec::new();
+        loop {
+            // ordering: Relaxed suffices — the cursor only partitions indices
+            // into disjoint claims (the add is atomic at every ordering);
+            // no other memory is published through it.  Results flow back
+            // through the join handles, whose joins provide all the
+            // happens-before edges the merge needs.
+            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= n {
+                return out;
+            }
+            let hi = n.min(lo + chunk);
+            for (i, query) in (lo..hi).zip(&queries[lo..hi]) {
+                out.push((i, serve(&mut searcher, i, query.borrow())));
+            }
         }
-        match (&degraded, request) {
-            (Some(req), _) => run_one_approx(searcher, query, *req),
-            (None, ServeRequest::Exact(req)) => run_one(searcher, query, req),
-            (None, ServeRequest::Approx(req)) => run_one_approx(searcher, query, req),
-        }
-    });
-    match attempt {
-        Ok(response) => match degraded {
-            Some(req) => Outcome::Degraded { response, frac: req.frac() },
-            None => Outcome::Ok(response),
-        },
-        Err(message) => {
-            // The session's scratch may be mid-mutation; discard it and
-            // start the next query from a fresh cursor.
-            *searcher = index.searcher();
-            Outcome::Failed(QueryError { index: i, message })
-        }
-    }
+    };
+
+    let mut tagged = if workers == 1 {
+        work()
+    } else {
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|_| work())).collect();
+            let mut tagged = Vec::with_capacity(n);
+            for handle in handles {
+                // A worker panics only when `serve` does (the strict entry
+                // points' contract) or the index cannot build a searcher:
+                // re-raise it with the query's own payload.
+                tagged.extend(handle.join().unwrap_or_else(|payload| resume_unwind(payload)));
+            }
+            tagged
+        })
+        .unwrap_or_else(|payload| resume_unwind(payload))
+    };
+
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(tagged.iter().enumerate().all(|(pos, &(i, _))| pos == i));
+    // dplint: allow(panic-boundary, reason = "totality guard: the scheduler's own
+    // contract is one result per query — a miscount is a bug in this function,
+    // not servable input, and must not reach clients as a silent short batch")
+    assert_eq!(tagged.len(), n, "every query must produce exactly one result");
+    tagged.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Serves a batch through work-stealing workers with panic isolation
@@ -147,7 +175,9 @@ where
 /// [`crate::serve::query_batch_parallel`] /
 /// [`crate::serve::query_batch_parallel_approx`] over the same
 /// requests, at any thread count and chunk size — enforced by the
-/// release-mode robustness suite.
+/// release-mode robustness suite.  Query-level failures never panic;
+/// an index that cannot even build a searcher still does, because
+/// nothing can be served without a session.
 pub fn serve_resilient<'i, P, Q, I, RF>(
     index: &'i I,
     queries: &[Q],
@@ -162,125 +192,43 @@ where
     I::Searcher<'i>: ApproxSearcher<P>,
     RF: Fn(usize) -> ServeRequest<I::Dist> + Sync,
 {
-    let n = queries.len();
     let start = Instant::now();
-    let ctx = BatchContext {
-        deadline: Deadline::after(options.soft_deadline),
-        degrade_frac: options.degrade_frac,
-        faults,
-    };
-    let workers = options.threads.clamp(1, n.max(1));
-    let chunk = options.steal_chunk.max(1);
-    let cursor = AtomicUsize::new(0);
-
-    let work = |out: &mut Vec<(usize, Outcome<I::Dist>)>| {
-        let mut searcher = index.searcher();
-        loop {
-            // ordering: Relaxed suffices — the cursor only partitions indices
-            // into disjoint claims (fetch_add is atomic at every ordering);
-            // no other memory is published through it.  Results flow through
-            // the collector mutex and the scope join below, which provide
-            // all the happens-before edges the merge needs.
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= n {
-                break;
+    let deadline = options.soft_deadline.map(|soft| start + soft);
+    let serve = |searcher: &mut I::Searcher<'i>, i: usize, query: &P| {
+        let request = request_of(i);
+        let degraded = deadline
+            .is_some_and(|at| Instant::now() >= at)
+            .then(|| request.degraded(options.degrade_frac));
+        let attempt = run_guarded(|| {
+            if !faults.is_empty() {
+                faults.fire(i);
             }
-            let hi = n.min(lo + chunk);
-            for (i, query) in (lo..hi).zip(&queries[lo..hi]) {
-                let outcome =
-                    run_resilient_one(&ctx, index, &mut searcher, i, query.borrow(), request_of(i));
-                out.push((i, outcome));
+            match (&degraded, request) {
+                (Some(req), _) => run_one_approx(searcher, query, *req),
+                (None, ServeRequest::Exact(req)) => run_one(searcher, query, req),
+                (None, ServeRequest::Approx(req)) => run_one_approx(searcher, query, req),
+            }
+        });
+        match (attempt, degraded) {
+            (Ok(response), Some(req)) => Outcome::Degraded { response, frac: req.frac() },
+            (Ok(response), None) => Outcome::Ok(response),
+            (Err(message), _) => {
+                // The session's scratch may be mid-mutation; discard it and
+                // start the next query from a fresh cursor.
+                *searcher = index.searcher();
+                Outcome::Failed(QueryError { index: i, message })
             }
         }
     };
-
-    let mut tagged: Vec<(usize, Outcome<I::Dist>)> = Vec::with_capacity(n);
-    if workers <= 1 {
-        work(&mut tagged);
-    } else {
-        let collected = Mutex::new(&mut tagged);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut local = Vec::new();
-                        work(&mut local);
-                        // dplint: allow(panic-boundary, reason = "poison here means a
-                        // sibling worker died outside query isolation, which the join
-                        // below already escalates; recovering would merge a batch with
-                        // silently missing outcomes instead")
-                        collected.lock().expect("collector lock").extend(local);
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Query panics are caught inside the worker; a join
-                // failure means the *index* could not produce a session,
-                // which nothing downstream could serve around.
-                // dplint: allow(panic-boundary, reason = "join Err means
-                // index.searcher() itself panicked — no session can exist, so
-                // per-query isolation has nothing left to contain")
-                h.join().expect("serving worker died outside query isolation");
-            }
-        })
-        // dplint: allow(panic-boundary, reason = "scope Err repeats the join
-        // escalation above: a worker died before reaching query isolation")
-        .expect("serving scope failed");
-    }
-
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert!(tagged.iter().enumerate().all(|(pos, &(i, _))| pos == i));
-    // dplint: allow(panic-boundary, reason = "totality guard: the engine's own
-    // contract is one outcome per query — a miscount is a bug in this function,
-    // not servable input, and must not reach clients as a silent short batch")
-    assert_eq!(tagged.len(), n, "every query must produce exactly one outcome");
-    let outcomes = tagged.into_iter().map(|(_, o)| o).collect();
+    let outcomes = steal_map(index, queries, options.threads, options.steal_chunk, serve);
     BatchReport { outcomes, elapsed: start.elapsed() }
-}
-
-/// [`crate::serve::query_batch_parallel`] with work-stealing instead of
-/// contiguous chunks: bit-identical responses, better balance on skewed
-/// batches.  Requires the index's budgeted surface because it shares
-/// the resilient engine (panics propagate — use [`serve_resilient`] for
-/// isolation).
-pub fn query_batch_stealing<'i, P, Q, I>(
-    index: &'i I,
-    queries: &[Q],
-    request: Request<I::Dist>,
-    threads: usize,
-) -> Vec<Response<I::Dist>>
-where
-    P: ?Sized,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-    I::Searcher<'i>: ApproxSearcher<P>,
-{
-    let report = serve_resilient(
-        index,
-        queries,
-        |_| ServeRequest::Exact(request),
-        &BatchOptions::with_threads(threads),
-        &FaultPlan::none(),
-    );
-    match report.ok_responses() {
-        Some(responses) => responses,
-        None => {
-            // dplint: allow(panic-boundary, reason = "query_batch_stealing is the
-            // documented non-isolated wrapper: its contract is to re-raise the
-            // first query panic, exactly like query_batch_parallel")
-            let first = report.outcomes.iter().find_map(Outcome::error).expect("a failed query");
-            // dplint: allow(panic-boundary, reason = "same contract: re-raise the
-            // first query panic for the non-isolated wrapper")
-            panic!("{first}")
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::laesa::PivotSelection;
-    use crate::serve::{query_batch_parallel, query_batch_parallel_approx, ApproxRequest};
+    use crate::serve::{query_batch_parallel, query_batch_parallel_approx, ApproxRequest, Request};
     use crate::DistPermIndex;
     use dp_metric::L2;
     use rand::rngs::StdRng;
@@ -313,7 +261,6 @@ mod tests {
                     "threads={threads} chunk={chunk}"
                 );
             }
-            assert_eq!(query_batch_stealing(&idx, &queries, request, threads), baseline);
         }
     }
 
@@ -352,7 +299,7 @@ mod tests {
         let idx = DistPermIndex::build(L2, pts, 8, PivotSelection::MaxMin);
         let queries = random_points(13, 3, 6);
         let request = Request::Knn { k: 3 };
-        // Deadline already expired at dispatch: every query downgrades
+        // The deadline has expired at dispatch: every query downgrades
         // to the budgeted path, deterministically.
         let options = BatchOptions::with_threads(2).deadline(Duration::ZERO).degrade(0.2);
         let report = serve_resilient(
@@ -431,9 +378,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected fault")]
     fn strict_stealing_wrapper_propagates_failures() {
-        // query_batch_stealing has no isolation surface: a failure in
-        // the underlying engine must surface as a panic, not silently
-        // drop a query.
+        // A strict caller of the resilient engine has no isolation
+        // surface: a failure in the engine must surface as a panic, not
+        // silently drop a query.
         let pts = random_points(40, 2, 10);
         let idx = DistPermIndex::build(L2, pts, 4, PivotSelection::MaxMin);
         let queries = random_points(3, 2, 11);
@@ -444,7 +391,7 @@ mod tests {
             &BatchOptions::default(),
             &FaultPlan::none().panic_on(1),
         );
-        // Simulate the wrapper's unwrap on a faulted report.
+        // Simulate a strict caller's unwrap on a faulted report.
         if report.ok_responses().is_none() {
             let first = report.outcomes.iter().find_map(Outcome::error).expect("failed");
             panic!("{first}");

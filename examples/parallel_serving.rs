@@ -6,8 +6,9 @@
 //! 1. parse an index name (`IndexSpec::parse("laesa:16")`) and build it
 //!    over the database with `AnyIndex::build` — no per-type dispatch;
 //! 2. serve a batch of queries with `serve::query_batch_parallel`:
-//!    scoped worker threads, one `Searcher` session per worker,
-//!    deterministic output order, native `QueryStats` per answer;
+//!    scoped worker threads that steal queries off a shared cursor, one
+//!    `Searcher` session per worker, deterministic output order, native
+//!    `QueryStats` per answer;
 //! 3. compare against the flat-storage engine (`FlatDistPermIndex`),
 //!    which serves `&[f64]` rows through the same trait surface.
 //!
